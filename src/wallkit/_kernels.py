@@ -63,29 +63,32 @@ def _trace_powers_numpy(eigs: np.ndarray, offsets: np.ndarray, t_max: int) -> np
     return out
 
 
-if NUMBA_ENABLED:
+def _trace_powers_loop(eigs, offsets, t_max):
+    """Per-sample loop form of _trace_powers_numpy: the numba kernel's source,
+    compiled when numba is active and runnable as plain Python otherwise."""
+    samples, n = eigs.shape
+    n_blocks = (len(offsets) - 1) // 2
+    out = np.empty((samples, t_max), dtype=np.float64)
+    for s in range(samples):
+        powers = np.ones(n, dtype=np.complex128)
+        for t in range(t_max):
+            for k in range(n):
+                powers[k] = powers[k] * eigs[s, k]
+            tr = 0.0 + 0.0j
+            for b in range(n_blocks):
+                tT = 0.0 + 0.0j
+                for k in range(offsets[2 * b], offsets[2 * b + 1]):
+                    tT += powers[k]
+                tR = 0.0 + 0.0j
+                for k in range(offsets[2 * b + 1], offsets[2 * b + 2]):
+                    tR += powers[k]
+                tr += tT * tR
+            out[s, t] = tr.real * tr.real + tr.imag * tr.imag
+    return out
 
-    @njit(cache=True)
-    def _trace_powers_numba(eigs, offsets, t_max):  # pragma: no cover - jitted
-        samples, n = eigs.shape
-        n_blocks = (len(offsets) - 1) // 2
-        out = np.empty((samples, t_max), dtype=np.float64)
-        for s in range(samples):
-            powers = np.ones(n, dtype=np.complex128)
-            for t in range(t_max):
-                for k in range(n):
-                    powers[k] = powers[k] * eigs[s, k]
-                tr = 0.0 + 0.0j
-                for b in range(n_blocks):
-                    tT = 0.0 + 0.0j
-                    for k in range(offsets[2 * b], offsets[2 * b + 1]):
-                        tT += powers[k]
-                    tR = 0.0 + 0.0j
-                    for k in range(offsets[2 * b + 1], offsets[2 * b + 2]):
-                        tR += powers[k]
-                    tr += tT * tR
-                out[s, t] = tr.real * tr.real + tr.imag * tr.imag
-        return out
+
+if NUMBA_ENABLED:
+    _trace_powers_numba = njit(cache=True)(_trace_powers_loop)
 
 
 def trace_powers(eigs: np.ndarray, offsets: np.ndarray, t_max: int) -> np.ndarray:

@@ -11,7 +11,6 @@ from .layout import SystemLayout
 from .linalg import (
     RANK_TOL,
     ZERO_TOL,
-    comm,
     dagger,
     hs_norm,
     nullspace,

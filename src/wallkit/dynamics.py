@@ -3,18 +3,16 @@ conserved algebras, gauged sequences, fragmentation, and chain scanning."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import prod
+from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import SystemLayout, as_generator
+from .layout import SeededRng, SystemLayout, as_generator
 from .linalg import (
     RANK_TOL,
     ZERO_TOL,
     dagger,
     embed,
-    haar_unitary,
     hs_norm,
     nullspace,
     orthonormal_basis,
@@ -25,12 +23,11 @@ from .algebra import (
     OperatorSpace,
     close_algebra,
     commutant,
-    contains,
     equals,
     extract_central_factor,
     intersect,
 )
-from .blocks import BlockStructure, decompose, isomorphism_signature
+from .blocks import decompose, isomorphism_signature
 
 # residual threshold for "operator has escaped the allowed region"
 ESCAPE_TOL = 1e-9
@@ -253,9 +250,7 @@ def _edge_factor_algebra(basis_c: np.ndarray, layout: SystemLayout, side: str) -
                 for c in basis_c:
                     mats.append(np.kron(np.eye(d_L), np.kron(c, u)))
     basis = orthonormal_basis(np.asarray(mats), RANK_TOL)
-    gens = mats[: min(len(mats), 2 * len(basis_c) + 4)]
-    alg = MatrixAlgebra(OperatorSpace(basis, layout))
-    return alg
+    return MatrixAlgebra(OperatorSpace(basis, layout))
 
 
 def verify_wall(
@@ -334,42 +329,29 @@ def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> Inva
     )
 
 
-def _edge_generators(layout: SystemLayout, side: str) -> list[np.ndarray]:
-    """Clock and shift on the edge factor: two generators of its full algebra."""
-    d = layout.d_left if side == "left" else layout.d_right
-    shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    return [shift, clock]
-
-
 def conserved_algebra(inv: InvariantAlgebras, tol: float = RANK_TOL) -> MatrixAlgebra:
-    """C-local conserved charges: the intersection of the two commutants,
-    compressed onto C after verifying its support."""
-    layout = inv.layout
-    d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
-    eye_R, eye_L = np.eye(d_R), np.eye(d_L)
-    lbar_gens = [
-        np.kron(np.kron(g, np.eye(d_C)), eye_R) for g in _edge_generators(layout, "left")
-    ] + [np.kron(np.kron(eye_L, a), eye_R) for a in inv.A_C.basis]
-    rbar_gens = [
-        np.kron(eye_L, np.kron(np.eye(d_C), g)) for g in _edge_generators(layout, "right")
-    ] + [np.kron(eye_L, np.kron(b, eye_R)) for b in inv.B_C.basis]
-    lbar = MatrixAlgebra(inv.Lbar.space, generators=np.asarray(lbar_gens))
-    rbar = MatrixAlgebra(inv.Rbar.space, generators=np.asarray(rbar_gens))
-    joint = intersect(commutant(lbar, tol).space, commutant(rbar, tol).space, tol)
-    # every element must be 1_L x c x 1_R
-    out_sites = tuple(layout.left) + tuple(layout.right)
-    c_mats = []
-    for x in joint.basis:
-        sup, _ = support(x, layout, 1e-8)
-        if not sup <= set(layout.center):
-            raise RuntimeError(
-                "conserved element escapes the center (contradicts the theorem; "
-                "numerical failure)"
-            )
-        c_mats.append(partial_trace(x, out_sites, layout) / (d_L * d_R))
-    basis = orthonormal_basis(np.asarray(c_mats), tol)
-    return MatrixAlgebra(OperatorSpace(basis, SystemLayout(layout.center_dims)))
+    """C-local conserved charges, computed on C.
+
+    The invariant algebras factor as Lbar = M_L x A_C x 1_R and
+    Rbar = 1_L x B_C x M_R (``invariant_algebras`` raises otherwise), so
+    Lbar' ∩ Rbar' = 1_L x (A_C' ∩ B_C') x 1_R: the conserved algebra is the
+    intersection of the two central commutants, with no d^2 x d^2
+    superoperator on the full space.  Every returned element is checked to
+    commute with both central factors.
+    """
+    joint = intersect(commutant(inv.A_C, tol).space, commutant(inv.B_C, tol).space, tol)
+    # all bases are HS-orthonormal, so these commutator norms are relative
+    factors = np.concatenate([inv.A_C.basis, inv.B_C.basis])
+    comms = np.einsum("iab,jbc->ijac", joint.basis, factors) - np.einsum(
+        "jab,ibc->ijac", factors, joint.basis
+    )
+    residual = float(np.max(np.linalg.norm(comms, axis=(2, 3)), initial=0.0))
+    if residual > 1e-8:
+        raise RuntimeError(
+            f"conserved element fails to commute with the central factors "
+            f"(residual {residual:.2e}; numerical failure)"
+        )
+    return MatrixAlgebra(OperatorSpace(joint.basis, SystemLayout(inv.layout.center_dims)))
 
 
 @dataclass
@@ -378,6 +360,7 @@ class CommutingOpsReport:
     predicted_dim: int | None
     match: bool | None
     residual: float | None
+    skipped_reason: str | None = None  # why the cross-check did not run
 
 
 def commuting_ops(U, layout: SystemLayout, tol: float = RANK_TOL) -> CommutingOpsReport:
@@ -386,7 +369,10 @@ def commuting_ops(U, layout: SystemLayout, tol: float = RANK_TOL) -> CommutingOp
     Direct route: kernel of x -> [1 x x x 1, U].  Cross-check (when the wall
     block data is recoverable): direct sum over blocks of the commutants of
     the algebras generated by the Schmidt vectors of T_i (on D) and R_i (on E).
+    When the cross-check cannot run, ``skipped_reason`` says why.
     """
+    from .walls import recover_blocks  # walls imports this module
+
     U = _check_unitary(U, layout.dim)
     d_C = layout.d_center
     cols = []
@@ -403,34 +389,29 @@ def commuting_ops(U, layout: SystemLayout, tol: float = RANK_TOL) -> CommutingOp
     mats = kern.T.reshape(-1, d_C, d_C)
     basis = orthonormal_basis(mats, tol)
     direct = MatrixAlgebra(OperatorSpace(basis, SystemLayout(layout.center_dims)))
+    report = CommutingOpsReport(direct, None, None, None)
 
-    predicted_dim, match, residual = None, None, None
+    wall = verify_wall(U, layout, build_algebras=False)
+    if not wall.is_wall:
+        report.skipped_reason = f"not a wall: left={wall.left}, right={wall.right}"
+        return report
     try:
-        from .walls import recover_blocks, schmidt_factor_algebras
-
-        report = verify_wall(U, layout, build_algebras=False)
-        if report.is_wall:
-            from .layout import SeededRng
-
-            bs = decompose(report.A_C, SeededRng(0, 977))
-            T_blocks, R_blocks, perm = recover_blocks(U, layout, bs)
-            if perm == list(range(len(bs.blocks))):
-                pred = _predicted_commuting_basis(
-                    bs, T_blocks, R_blocks, layout, tol
-                )
-                predicted_dim = len(pred)
-                pred_space = OperatorSpace(pred, SystemLayout(layout.center_dims))
-                match = equals(direct.space, pred_space)
-                residual = max(
-                    (
-                        hs_norm(x - pred_space.project(x))
-                        for x in direct.basis
-                    ),
-                    default=0.0,
-                )
-    except Exception:
-        pass
-    return CommutingOpsReport(direct, predicted_dim, match, residual)
+        bs = decompose(wall.A_C, SeededRng(0, 977))
+        T_blocks, R_blocks, perm = recover_blocks(U, layout, bs)
+    except ValueError as exc:  # the block frame does not split U
+        report.skipped_reason = f"block recovery failed: {exc}"
+        return report
+    if perm != list(range(len(bs.blocks))):
+        report.skipped_reason = f"blocks are permuted ({perm}); no prediction"
+        return report
+    pred = _predicted_commuting_basis(bs, T_blocks, R_blocks, layout, tol)
+    pred_space = OperatorSpace(pred, SystemLayout(layout.center_dims))
+    report.predicted_dim = len(pred)
+    report.match = equals(direct.space, pred_space)
+    report.residual = max(
+        (hs_norm(x - pred_space.project(x)) for x in direct.basis), default=0.0
+    )
+    return report
 
 
 def _predicted_commuting_basis(bs, T_blocks, R_blocks, layout, tol):

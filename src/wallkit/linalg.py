@@ -24,29 +24,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex(np.sum(a.conj() * b))
-
-
 def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
-
-
-def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the first factor carries the most significant index."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(factors) -> np.ndarray:
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
 
 
 def embed(op: np.ndarray, sites, layout: SystemLayout) -> np.ndarray:
@@ -135,7 +119,9 @@ def nullspace(M: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return np.eye(M.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    # a wide input needs the full vh, whose extra rows are kernel vectors; a
+    # tall one takes the reduced SVD and never builds the m x m U
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     norm = s[0] if s.size else 0.0
     if norm == 0.0:
         return np.eye(M.shape[1], dtype=complex)

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from wallkit.layout import SeededRng, SystemLayout
-from wallkit.linalg import dagger, embed, haar_unitary, kron
-from wallkit.algebra import contains, equals
+from wallkit.linalg import dagger, embed, haar_unitary, kron, orthonormal_basis, partial_trace
+from wallkit.algebra import (
+    MatrixAlgebra,
+    OperatorSpace,
+    commutant,
+    contains,
+    equals,
+    intersect,
+)
 from wallkit.dynamics import (
     brickwork_unitary,
     commuting_ops,
@@ -22,6 +29,7 @@ from wallkit.dynamics import (
 )
 from wallkit.walls import (
     PAULI,
+    PRESET_NAMES,
     WallSpec,
     conditional_unitary,
     pauli_string,
@@ -154,7 +162,51 @@ class TestInvariantAlgebras:
             assert contains(inv.Lbar.space, moved, 1e-8)
 
 
+def _full_space_conserved(inv):
+    """Oracle on the full space: the commutants of the lifted Lbar and Rbar
+    generators, intersected on L x C x R and compressed to C."""
+    layout = inv.layout
+    d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
+
+    def clock_shift(d):  # two generators of the full algebra M_d
+        return [np.roll(np.eye(d), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(d) / d))]
+
+    lbar_gens = [kron(kron(g, np.eye(d_C)), np.eye(d_R)) for g in clock_shift(d_L)] + [
+        kron(kron(np.eye(d_L), a), np.eye(d_R)) for a in inv.A_C.basis
+    ]
+    rbar_gens = [kron(np.eye(d_L), kron(np.eye(d_C), g)) for g in clock_shift(d_R)] + [
+        kron(np.eye(d_L), kron(b, np.eye(d_R))) for b in inv.B_C.basis
+    ]
+    lbar = MatrixAlgebra(inv.Lbar.space, generators=np.asarray(lbar_gens))
+    rbar = MatrixAlgebra(inv.Rbar.space, generators=np.asarray(rbar_gens))
+    joint = intersect(commutant(lbar).space, commutant(rbar).space)
+    out_sites = tuple(layout.left) + tuple(layout.right)
+    c_mats = []
+    for x in joint.basis:
+        sup, _ = support(x, layout, 1e-8)
+        assert sup <= set(layout.center)
+        c_mats.append(partial_trace(x, out_sites, layout) / (d_L * d_R))
+    return OperatorSpace(orthonormal_basis(c_mats), SystemLayout(layout.center_dims))
+
+
+SMALL_PRESETS = [n for n in PRESET_NAMES if preset_wall(n).layout.dim <= 16]
+
+
 class TestConserved:
+    @pytest.mark.parametrize("name", SMALL_PRESETS)
+    def test_matches_full_space_oracle_on_presets(self, name):
+        wall = preset_wall(name)
+        inv = invariant_algebras(wall.U, wall.layout)
+        alg = conserved_algebra(inv)
+        assert alg.layout.site_dims == wall.layout.center_dims
+        assert equals(alg, _full_space_conserved(inv))
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_matches_full_space_oracle_on_diag_walls(self, seed):
+        wall = synth_wall(WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "diag", seed=seed))
+        inv = invariant_algebras(wall.U, wall.layout)
+        assert equals(conserved_algebra(inv), _full_space_conserved(inv))
+
     def test_abelian_pair_dim(self):
         wall = preset_wall("abelian-pair")
         alg = conserved_algebra(invariant_algebras(wall.U, wall.layout))
@@ -199,6 +251,7 @@ class TestCommutingOps:
     def test_diag_wall_matches_prediction(self):
         wall = synth_wall(WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=20))
         rep = commuting_ops(wall.U, wall.layout)
+        assert rep.skipped_reason is None
         assert rep.match is True
         assert rep.predicted_dim == rep.algebra.dim
         assert rep.residual < 1e-8
@@ -208,6 +261,12 @@ class TestCommutingOps:
         wall = synth_wall(WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=21))
         rep = commuting_ops(wall.U, wall.layout)
         assert rep.algebra.dim == 2
+
+    def test_non_wall_records_why_the_cross_check_was_skipped(self):
+        lay = SystemLayout.tripartite(2, (2,), 2)
+        rep = commuting_ops(haar_unitary(8, SeededRng(33)), lay)
+        assert rep.skipped_reason.startswith("not a wall")
+        assert rep.predicted_dim is None and rep.match is None and rep.residual is None
 
     def test_elements_commute_with_unitary(self):
         wall = preset_wall("fswap")

@@ -184,6 +184,29 @@ class TestNullspace:
         mat = ns[:, 0].reshape(2, 2)
         assert np.linalg.norm(mat - mat[0, 0] * np.eye(2)) < 1e-10
 
+    @staticmethod
+    def _low_rank(m, n, rank, seed):
+        g = np.random.default_rng(seed)
+        a = g.standard_normal((m, rank)) + 1j * g.standard_normal((m, rank))
+        b = g.standard_normal((rank, n)) + 1j * g.standard_normal((rank, n))
+        return a @ b
+
+    def test_wide_rank_deficient(self):
+        # the kernel of a wide matrix lies largely outside its row count: it
+        # needs the full right singular basis
+        M = self._low_rank(3, 8, 2, 0)
+        ns = nullspace(M)
+        assert ns.shape == (8, 6)
+        assert np.linalg.norm(M @ ns) < 1e-10
+        assert np.allclose(ns.conj().T @ ns, np.eye(6), atol=1e-12)
+
+    def test_tall_rank_deficient(self):
+        M = self._low_rank(40, 6, 4, 1)
+        ns = nullspace(M)
+        assert ns.shape == (6, 2)
+        assert np.linalg.norm(M @ ns) < 1e-10 * np.linalg.norm(M)
+        assert np.allclose(ns.conj().T @ ns, np.eye(2), atol=1e-12)
+
 
 class TestSeededRng:
     def test_reproducible(self):
