@@ -11,6 +11,7 @@ predictions at desk scale.
 from .layout import SeededRng, SystemLayout, as_generator
 from .linalg import (
     embed,
+    haar_from_ginibre,
     haar_unitary,
     kron,
     nullspace,

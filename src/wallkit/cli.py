@@ -52,7 +52,7 @@ COMMANDS = (
 CONFIG_KEYS = {
     "preset", "generators", "dims", "algebra", "permutation", "seed",
     "t_max", "samples", "rounds", "observable", "seed_site", "seed_pauli",
-    "tol_rank", "tol_support", "out", "format", "workers", "chain_sites",
+    "tol_rank", "tol_support", "out", "format", "chain_sites",
     "embed_at", "haar_dim", "dim_l", "dim_r", "max_width",
 }
 
@@ -76,7 +76,6 @@ class RunConfig:
     tol_support: float = ZERO_TOL
     out: str | None = None
     format: str = "csv"
-    workers: int = 1
     chain_sites: int = 8
     embed_at: int | None = None
     haar_dim: int | None = None
@@ -105,7 +104,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--tol-support", dest="tol_support", type=float)
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--workers", type=int)
         sp.add_argument("--generators")
         sp.add_argument("--dims")
         sp.add_argument("--algebra")
@@ -165,8 +163,6 @@ def parse_config(argv) -> RunConfig:
             cfg.permutation = [int(x) for x in cfg.permutation.split(",")]
         except ValueError:
             raise UsageError(f"bad --permutation value {cfg.permutation!r}")
-    if cfg.workers < 1:
-        raise UsageError("--workers must be >= 1")
     if cfg.format not in ("csv", "json"):
         raise UsageError(f"unknown format {cfg.format!r}")
     return cfg

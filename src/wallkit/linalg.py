@@ -78,16 +78,28 @@ def partial_trace(O: np.ndarray, sites_out, layout: SystemLayout) -> np.ndarray:
     return T.reshape(d_keep, d_keep)
 
 
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from complex Ginibre matrices ``z`` of shape
+    (..., n, n): QR, then the phases of diag(R) moved into Q so that R has a
+    real positive diagonal (Mezzadri, arXiv:math-ph/0609050).  Each matrix of
+    a stack gives the same bytes as it would alone.
+    """
+    z = np.asarray(z)
+    if z.ndim < 2 or z.shape[-1] != z.shape[-2]:
+        raise ValueError(f"need square matrices of shape (..., n, n), got {z.shape}")
+    q, r = np.linalg.qr(z)
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    ph /= np.abs(ph)
+    return q * ph[..., None, :]
+
+
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via complex Ginibre + QR with phase fix."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     g = as_generator(rng)
     z = (g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph[None, :]
+    return haar_from_ginibre(z)
 
 
 def orthonormal_basis(mats, tol: float = RANK_TOL) -> np.ndarray:

@@ -11,13 +11,16 @@ import numpy as np
 
 from ._kernels import trace_powers
 from .layout import SeededRng, SystemLayout, as_generator
-from .linalg import dagger, haar_unitary, hs_norm
+from .linalg import dagger, haar_from_ginibre, hs_norm
 from .algebra import contains
 from .blocks import BlockStructure
 from .walls import WallSpec, resolve_central_algebra
 
 SCHMIDT_RANK_TOL = 1e-8
 CLUSTER_TOL = 1e-9  # relative eigenvalue clustering for measurement outcomes
+# complex Ginibre elements per chunk of SFF samples (64 KB): a chunk of the
+# whole run would grow peak memory with the sample count
+SFF_CHUNK_ELEMS = 4096
 
 
 @dataclass
@@ -266,14 +269,16 @@ def _block_dims_for_spec(spec: WallSpec, rng):
     return bs.blocks
 
 
-def sff_mc(spec, t_max: int, samples: int, rng, haar_dim: int | None = None, permutation=None) -> SFFResult:
+def sff_mc(spec, t_max: int, samples: int, rng, haar_dim: int | None = None) -> SFFResult:
     """Monte-Carlo spectral form factor K(t) = E|tr U^t|^2.
 
     ``spec`` is a WallSpec (block-Haar wall ensemble) or the string "haar"
-    with ``haar_dim``.  Traces are accumulated from block eigenvalues; the
-    permutation-free ensemble is the default, and an experimental block
-    permutation can be supplied for measurement only (no analytic claim is
-    attached to it).
+    with ``haar_dim``.  Traces are accumulated from block eigenvalues.
+
+    Sample ``s`` draws the Ginibre normals of all its blocks, block by block,
+    from its own stream ``1000 + s`` of ``rng``; QR, phase fix and eigenvalues
+    then run on one stack per block size and chunk of samples.  The result
+    equals sampling each block with ``haar_unitary`` in turn, bit for bit.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -291,18 +296,7 @@ def sff_mc(spec, t_max: int, samples: int, rng, haar_dim: int | None = None, per
     for dD, dE in blocks:
         sizes.extend([d_L * dD, dE * d_R])
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-
-    if permutation is None:
-        eigs = np.empty((samples, offsets[-1]), dtype=np.complex128)
-        for s in range(samples):
-            g = base.stream(1000 + s).generator()
-            pos = 0
-            for size in sizes:
-                eigs[s, pos : pos + size] = np.linalg.eigvals(haar_unitary(size, g))
-                pos += size
-        per_sample = trace_powers(eigs, offsets, t_max)
-    else:
-        per_sample = _sff_permuted(blocks, d_L, d_R, samples, t_max, base, permutation)
+    per_sample = trace_powers(_block_eigvals(sizes, offsets, samples, base), offsets, t_max)
 
     times = np.arange(t_max + 1)
     K = np.empty(t_max + 1)
@@ -314,31 +308,29 @@ def sff_mc(spec, t_max: int, samples: int, rng, haar_dim: int | None = None, per
     return SFFResult(times, K, err, K_an, samples)
 
 
-def _sff_permuted(blocks, d_L, d_R, samples, t_max, base: SeededRng, permutation):
-    """Experimental: eigenvalues of the full block-permuted frame matrix."""
-    nb = len(blocks)
-    perm = list(permutation)
-    if sorted(perm) != list(range(nb)):
-        raise ValueError("permutation must be a permutation of block indices")
-    for i, j in enumerate(perm):
-        if blocks[i] != blocks[j]:
-            raise ValueError("permutation mixes non-equivalent blocks")
-    sizes = [d_L * dD * dE * d_R for dD, dE in blocks]
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    d = offs[-1]
-    out = np.empty((samples, t_max), dtype=np.float64)
-    for s in range(samples):
-        g = base.stream(1000 + s).generator()
-        U = np.zeros((d, d), dtype=complex)
-        for i, (dD, dE) in enumerate(blocks):
-            T = haar_unitary(d_L * dD, g)
-            R = haar_unitary(dE * d_R, g)
-            j = perm[i]
-            U[offs[j] : offs[j] + sizes[j], offs[i] : offs[i] + sizes[i]] = np.kron(T, R)
-        lam = np.linalg.eigvals(U)
-        powers = np.ones_like(lam)
-        for t in range(t_max):
-            powers = powers * lam
-            tr = powers.sum()
-            out[s, t] = tr.real**2 + tr.imag**2
-    return out
+def _block_eigvals(sizes, offsets, samples: int, base: SeededRng) -> np.ndarray:
+    """(samples, offsets[-1]) eigenvalues of Haar block unitaries of the given
+    sizes, sample s drawn from stream 1000 + s."""
+    # blocks of one size share a stack; slots[k] = (size, index in its stack)
+    starts, slots = {}, []
+    for size, start in zip(sizes, offsets[:-1]):
+        slots.append((size, len(starts.setdefault(size, []))))
+        starts[size].append(start)
+    # eigenvalue columns of each stack, in stack order
+    cols = {n: np.concatenate([np.arange(o, o + n) for o in st]) for n, st in starts.items()}
+    chunk = max(1, SFF_CHUNK_ELEMS // sum(n * n for n in sizes))
+    re = {n: np.empty((chunk, len(st), n, n)) for n, st in starts.items()}
+    im = {n: np.empty((chunk, len(st), n, n)) for n, st in starts.items()}
+    eigs = np.empty((samples, offsets[-1]), dtype=np.complex128)
+    for s0 in range(0, samples, chunk):
+        m = min(chunk, samples - s0)
+        for j in range(m):
+            g = base.stream(1000 + s0 + j).generator()
+            for size, k in slots:
+                g.standard_normal(out=re[size][j, k])
+                g.standard_normal(out=im[size][j, k])
+        for n, c in cols.items():
+            z = (re[n][:m] + 1j * im[n][:m]) / np.sqrt(2)
+            u = haar_from_ginibre(z.reshape(-1, n, n))
+            eigs[s0 : s0 + m, c] = np.linalg.eigvals(u).reshape(m, -1)
+    return eigs

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from wallkit.layout import SeededRng, SystemLayout
+from wallkit._kernels import trace_powers
 from wallkit.linalg import haar_unitary, kron
 from wallkit.observables import (
+    SFF_CHUNK_ELEMS,
     PureState,
+    _block_dims_for_spec,
     classify_observable,
     evolve_state,
     measure,
@@ -241,13 +244,35 @@ class TestSFFMonteCarlo:
         spread = np.std(np.abs(ta + tb) ** 2) / np.sqrt(n)
         assert abs(total - expected) < 4 * spread
 
-    def test_permuted_ensemble_runs(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag")
-        res = sff_mc(
-            spec, t_max=4, samples=100, rng=SeededRng(27), permutation=[1, 0]
+    @pytest.mark.parametrize("ensemble", ["reducible-composite", "haar"])
+    def test_batched_matches_per_sample_loop(self, ensemble):
+        # reference: one haar_unitary per block, then eigvals, sample by sample
+        if ensemble == "haar":
+            spec, blocks, d_L, d_R = "haar", [(1, 1)], 4, 1
+        else:
+            wall = preset_wall(ensemble)
+            spec = WallSpec(wall.layout, central_algebra=list(wall.A_C.basis), seed=0)
+            blocks = _block_dims_for_spec(spec, SeededRng(29).stream(7).generator())
+            d_L, d_R = wall.layout.d_left, wall.layout.d_right
+        sizes = [n for dD, dE in blocks for n in (d_L * dD, dE * d_R)]
+        assert len(set(sizes)) > 1
+        chunk = SFF_CHUNK_ELEMS // sum(n * n for n in sizes)
+        samples = 2 * chunk + chunk // 2 + 1  # two full chunks and a partial one
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        eigs = np.empty((samples, offsets[-1]), dtype=complex)
+        base = SeededRng(29)
+        for s in range(samples):
+            g = base.stream(1000 + s).generator()
+            for n, start in zip(sizes, offsets):
+                eigs[s, start : start + n] = np.linalg.eigvals(haar_unitary(n, g))
+        per_sample = trace_powers(eigs, offsets, 12)
+
+        haar_dim = d_L if ensemble == "haar" else None
+        res = sff_mc(spec, t_max=12, samples=samples, rng=SeededRng(29), haar_dim=haar_dim)
+        assert np.array_equal(res.K_mc[1:], per_sample.mean(axis=0))
+        assert np.array_equal(
+            res.stderr[1:], per_sample.std(axis=0, ddof=1) / np.sqrt(samples)
         )
-        assert res.K_mc.shape == (5,) and np.all(np.isfinite(res.K_mc))
-        assert np.all(res.K_mc >= 0)
 
     def test_sample_floor(self):
         spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wallkit.layout import SeededRng, SystemLayout, as_generator
 from wallkit.linalg import (
     embed,
+    haar_from_ginibre,
     haar_unitary,
     kron,
     nullspace,
@@ -135,6 +136,34 @@ class TestHaarUnitary:
         for _ in range(n):
             acc += haar_unitary(4, g)
         assert np.max(np.abs(acc / n)) < 5 / np.sqrt(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_stack_matches_single_draws(self, n):
+        # the same Ginibre draws, stacked (2, 3, n, n), give haar_unitary's bytes
+        g = SeededRng(4).generator()
+        z = np.empty((6, n, n), dtype=complex)
+        for k in range(6):
+            z[k] = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
+        stacked = haar_from_ginibre(z.reshape(2, 3, n, n)).reshape(6, n, n)
+        g = SeededRng(4).generator()
+        for k in range(6):
+            assert np.array_equal(stacked[k], haar_unitary(n, g))
+
+    def test_stack_unitary_with_positive_r_diagonal(self):
+        z = _rand_mats(5, 50, 4)
+        u = haar_from_ginibre(z)
+        uh = u.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(uh @ u - np.eye(4))) < 1e-12
+        # z = u r with r upper triangular and diag(r) real positive
+        r = uh @ z
+        assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.max(np.abs(diag.imag)) < 1e-12
+        assert np.all(diag.real > 0)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            haar_from_ginibre(np.ones((3, 2, 4), dtype=complex))
 
 
 class TestOrthonormalBasis:
