@@ -4,6 +4,7 @@ conserved algebras, gauged sequences, fragmentation, and chain scanning."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -105,86 +106,133 @@ def _check_unitary(U: np.ndarray, d: int):
     return U
 
 
-def _edge_block_frame(U: np.ndarray, layout: SystemLayout, side: str, tol: float):
-    """Orthonormal basis of the edge blocks of U.
+def _swapped_layout(layout: SystemLayout) -> SystemLayout:
+    """The (R, C, L) layout that ``_swap_edges`` maps (L, C, R) operators to."""
+    n_c = len(layout.center_dims)
+    return SystemLayout(
+        (layout.d_right,) + layout.center_dims + (layout.d_left,),
+        (0,),
+        tuple(range(1, 1 + n_c)),
+        (1 + n_c,),
+    )
 
-    For the left check these are the operators B_iu = (<i|_L x 1) U (|u>_L x 1)
-    acting on CR; the closure of M_L-seeded operators is generated by
-    sandwiches  B s B'^dag.  The right check mirrors this with R-edge blocks
-    acting on LC.
+
+def _swap_edges(basis: np.ndarray, layout: SystemLayout) -> np.ndarray:
+    """Reorder operators from (L, C, R) to (R, C, L) tensor factors."""
+    d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
+    k = len(basis)
+    T = basis.reshape(k, d_L, d_C, d_R, d_L, d_C, d_R)
+    T = T.transpose(0, 3, 2, 1, 6, 5, 4)
+    return T.reshape(k, layout.dim, layout.dim)
+
+
+def _edge_block_frame(U: np.ndarray, layout: SystemLayout, tol: float):
+    """Orthonormal basis of the left edge blocks of U.
+
+    These are the operators B_iu = (<i|_L x 1) U (|u>_L x 1) acting on CR;
+    the closure of M_L-seeded operators is generated by sandwiches
+    B s B'^dag.  The right check runs this on the edge-swapped U.
     """
-    d_L, d_R = layout.d_left, layout.d_right
-    d = layout.dim
-    if side == "left":
-        d_edge, d_bulk = d_L, d // d_L
-        T = U.reshape(d_edge, d_bulk, d_edge, d_bulk)
-        blocks = T.transpose(0, 2, 1, 3).reshape(d_edge * d_edge, d_bulk, d_bulk)
-    else:
-        d_edge, d_bulk = d_R, d // d_R
-        T = U.reshape(d_bulk, d_edge, d_bulk, d_edge)
-        blocks = T.transpose(1, 3, 0, 2).reshape(d_edge * d_edge, d_bulk, d_bulk)
+    d_edge = layout.d_left
+    d_bulk = layout.dim // d_edge
+    T = U.reshape(d_edge, d_bulk, d_edge, d_bulk)
+    blocks = T.transpose(0, 2, 1, 3).reshape(d_edge * d_edge, d_bulk, d_bulk)
     return orthonormal_basis(blocks, tol)
 
 
-def _compress_to_center(X: np.ndarray, d_C: int, d_out: int, side: str):
-    """Project bulk operators onto (center x identity) and report residuals.
+def _lift(a: np.ndarray, d_out: int) -> np.ndarray:
+    """a x 1_{d_out} for a stack of square matrices a (exact: entries are
+    multiplied by 0 and 1 only)."""
+    n, d_C, _ = a.shape
+    lifted = a[:, :, None, :, None] * np.eye(d_out)[:, None, :]
+    lifted += 0.0  # -0.0 -> +0.0, so the bytes match an einsum outer product
+    return lifted.reshape(n, d_C * d_out, d_C * d_out)
 
-    X: stacked operators on the bulk (CR for the left check, LC for the
-    right).  Returns (center parts, relative residuals, norms)."""
+
+def _compress_to_center(X: np.ndarray, d_C: int, d_out: int):
+    """Project bulk operators on C x out onto (center x identity).
+
+    Returns (center parts, escape residuals, norms), both norms HS."""
     n = len(X)
-    if side == "left":  # bulk = C x R, identity factor on the right
-        shaped = X.reshape(n, d_C, d_out, d_C, d_out)
-        core = np.trace(shaped, axis1=2, axis2=4) / d_out
-        recon = np.einsum("kab,ij->kaibj", core, np.eye(d_out)).reshape(X.shape)
-    else:  # bulk = L x C, identity factor on the left
-        shaped = X.reshape(n, d_out, d_C, d_out, d_C)
-        core = np.trace(shaped, axis1=1, axis2=3) / d_out
-        recon = np.einsum("kab,ij->kiajb", core, np.eye(d_out)).reshape(X.shape)
+    core = np.trace(X.reshape(n, d_C, d_out, d_C, d_out), axis1=2, axis2=4) / d_out
     norms = np.linalg.norm(X.reshape(n, -1), axis=1)
-    resid = np.linalg.norm((X - recon).reshape(n, -1), axis=1)
-    rel = np.where(norms > ZERO_TOL, resid / np.maximum(norms, ZERO_TOL), 0.0)
-    return core, rel, norms
+    resid = np.linalg.norm((X - _lift(core, d_out)).reshape(n, -1), axis=1)
+    return core, resid, norms
 
 
-def _directional_closure(U, layout: SystemLayout, side: str, tol: float):
-    """Closure of the edge-seeded invariant algebra, tracked by its central
-    factor.
+# seed of the closure probes: fixed, so that every check is deterministic
+PROBE_SEED = 20100
 
-    Every algebra between M_edge x 1 and the full algebra is of the form
-    M_edge x S; each closure round sandwiches the current S between edge
-    blocks of U, rejects as soon as an element escapes (center x identity),
-    and otherwise product-closes the compressed span on C.  Returns
-    (passed, rounds, central algebra basis or None).
+
+def _complex_normal(g: np.random.Generator, n: int) -> np.ndarray:
+    return g.standard_normal(n) + 1j * g.standard_normal(n)
+
+
+def _probe_escapes(m, a, d_out: int, bound: float, g: np.random.Generator) -> bool:
+    """True when one random element of the next round's sandwich span proves
+    that some sandwich m_p lift(a_k) m_q^dag escapes by more than ``bound``.
+
+    The probe is P = x s y^dag with x = sum c_p m_p, y = sum c'_q m_q and
+    s = lift(sum e_k a_k).  The escape residual r is a seminorm, so
+    r(P) <= (sum |c_p|)(sum |c'_q|)(sum |e_k|) max r(sandwich), and the probe
+    fires only when r(P) exceeds ``bound`` times that coefficient weight.
+    """
+    c, c2, e = _complex_normal(g, len(m)), _complex_normal(g, len(m)), _complex_normal(g, len(a))
+    x = np.tensordot(c, m, axes=1)
+    y = np.tensordot(c2, m, axes=1)
+    s = _lift(np.tensordot(e, a, axes=1)[None], d_out)[0]
+    _, resid, _ = _compress_to_center((x @ s @ dagger(y))[None], a.shape[1], d_out)
+    weight = np.abs(c).sum() * np.abs(c2).sum() * np.abs(e).sum()
+    return bool(resid[0] > bound * weight)
+
+
+def _directional_closure(U, layout: SystemLayout, tol: float):
+    """Closure of the left-edge-seeded invariant algebra, tracked by its
+    central factor.
+
+    Every algebra between M_L x 1 and the full algebra is of the form
+    M_L x S; each closure round sandwiches the current S between edge
+    blocks of U, rejects as soon as a sandwich X escapes (center x identity)
+    by more than ``tol`` relative to ||X|| (sandwiches with ||X|| <=
+    ``ZERO_TOL`` are ignored), and otherwise product-closes the compressed
+    span on C.
+
+    Each round first tests one random probe (``_probe_escapes``) and
+    rejects on it when its escape residual exceeds
+    max(tol sqrt(d_out), ZERO_TOL) times its coefficient weight.  The edge
+    blocks are HS-orthonormal, so ||m_p||_op <= 1, and every lifted basis
+    element has HS norm sqrt(d_out); so every sandwich of a round that the
+    per-element rule accepts has residual at most that bound, and a probe
+    above it implies a sandwich that the per-element rule rejects in the
+    same round.  Otherwise the round runs the per-element rule in full, so
+    decisions and round counts are those of the per-element rule alone.
+    Returns (passed, rounds, central algebra basis or None).
     """
     d_C = layout.d_center
-    d_edge = layout.d_left if side == "left" else layout.d_right
-    d_bulk = layout.dim // d_edge
+    d_bulk = layout.dim // layout.d_left
     d_out = d_bulk // d_C  # dimension of the identity factor within the bulk
-    m = _edge_block_frame(U, layout, side, tol)
+    m = _edge_block_frame(U, layout, tol)
+    m_dag = np.ascontiguousarray(m.conj().transpose(0, 2, 1))
     kB = len(m)
     c_layout = SystemLayout(layout.center_dims)
     a = np.eye(d_C, dtype=complex)[None] / np.sqrt(d_C)
+    probe_rng = np.random.default_rng(PROBE_SEED)
+    probe_bound = max(tol * np.sqrt(d_out), ZERO_TOL)
 
     max_rounds = layout.dim**2 + 1
     for rounds in range(1, max_rounds + 1):
-        # lift the central basis to the bulk
-        if side == "left":
-            lifted = np.einsum("kab,ij->kaibj", a, np.eye(d_out)).reshape(
-                len(a), d_bulk, d_bulk
-            )
-        else:
-            lifted = np.einsum("kab,ij->kiajb", a, np.eye(d_out)).reshape(
-                len(a), d_bulk, d_bulk
-            )
-        # sandwiches m_p s m_q^dag in memory-bounded chunks, with early exit
+        if _probe_escapes(m, a, d_out, probe_bound, probe_rng):
+            return False, rounds, None
+        lifted = _lift(a, d_out)
+        # sandwiches m_p s m_q^dag in (p, a, q) order, in memory-bounded
+        # chunks, with early exit
         collected = [a]
         chunk = max(1, 2**22 // (d_bulk * d_bulk * max(len(a) * kB, 1)))
         for p0 in range(0, kB, chunk):
-            part = np.einsum("pij,ajk->paik", m[p0 : p0 + chunk], lifted)
-            part = part.reshape(-1, d_bulk, d_bulk)
-            prods = np.einsum("nik,qjk->nqij", part, m.conj())
-            prods = prods.reshape(-1, d_bulk, d_bulk)
-            core, rel, norms = _compress_to_center(prods, d_C, d_out, side)
+            part = m[p0 : p0 + chunk, None] @ lifted[None]
+            prods = (part[:, :, None] @ m_dag).reshape(-1, d_bulk, d_bulk)
+            core, resid, norms = _compress_to_center(prods, d_C, d_out)
+            rel = np.where(norms > ZERO_TOL, resid / np.maximum(norms, ZERO_TOL), 0.0)
             if np.any(rel > tol):
                 return False, rounds, None
             collected.append(core[norms > ZERO_TOL])
@@ -229,26 +277,16 @@ class WallReport:
         return out
 
 
-def _edge_factor_algebra(basis_c: np.ndarray, layout: SystemLayout, side: str) -> MatrixAlgebra:
-    """Lift a central algebra basis to M_edge x A_C x 1 (or 1 x B_C x M_edge)."""
+def _edge_factor_algebra(basis_c: np.ndarray, layout: SystemLayout) -> MatrixAlgebra:
+    """Lift a central algebra basis to M_L x A_C x 1_R."""
     d_L, d_R = layout.d_left, layout.d_right
     mats = []
-    if side == "left":
-        d_e = d_L
-        for i in range(d_e):
-            for j in range(d_e):
-                u = np.zeros((d_e, d_e))
-                u[i, j] = 1.0
-                for c in basis_c:
-                    mats.append(np.kron(np.kron(u, c), np.eye(d_R)))
-    else:
-        d_e = d_R
-        for i in range(d_e):
-            for j in range(d_e):
-                u = np.zeros((d_e, d_e))
-                u[i, j] = 1.0
-                for c in basis_c:
-                    mats.append(np.kron(np.eye(d_L), np.kron(c, u)))
+    for i in range(d_L):
+        for j in range(d_L):
+            u = np.zeros((d_L, d_L))
+            u[i, j] = 1.0
+            for c in basis_c:
+                mats.append(np.kron(np.kron(u, c), np.eye(d_R)))
     basis = orthonormal_basis(np.asarray(mats), RANK_TOL)
     return MatrixAlgebra(OperatorSpace(basis, layout))
 
@@ -262,26 +300,40 @@ def verify_wall(
     """Exact wall check by closure stabilization.
 
     The left check grows the algebra generated by the Heisenberg orbit of
-    M_L x 1 and succeeds iff it stays inside M_LC; the right check mirrors
-    it.  Central factor algebras are attached on success.
+    M_L x 1 and succeeds iff it stays inside M_LC; the right check is the
+    left check on the edge-swapped U.  A round rejects when a sandwich
+    escapes by more than ``tol`` relative to its norm; it rejects on one
+    random probe first when the probe's escape exceeds
+    max(tol sqrt(d_out), ZERO_TOL) times its coefficient weight, a bound
+    that only a rejected round can exceed (see ``_directional_closure``).
+    The probes come from a fixed seed.  Central factor algebras are
+    attached on success.
     """
     if not layout.left or not layout.right:
         raise ValueError("wall verification needs non-empty L and R regions")
-    U = _check_unitary(U, layout.dim)
-    left, s_l, a_basis = _directional_closure(U, layout, "left", tol)
-    right, s_r, b_basis = _directional_closure(U, layout, "right", tol)
+    return _verify_wall(_check_unitary(U, layout.dim), layout, tol, build_algebras)
+
+
+def _verify_wall(
+    U: np.ndarray, layout: SystemLayout, tol: float, build_algebras: bool
+) -> WallReport:
+    """``verify_wall`` on a U already checked to be a d x d unitary."""
+    swapped = _swapped_layout(layout)
+    left, s_l, a_basis = _directional_closure(U, layout, tol)
+    right, s_r, b_basis = _directional_closure(_swap_edges(U[None], layout)[0], swapped, tol)
     report = WallReport(left, right, max(s_l, s_r), s_l, s_r)
+    c_layout = SystemLayout(layout.center_dims)
     if left:
-        c_layout = SystemLayout(layout.center_dims)
         report.A_C = MatrixAlgebra(OperatorSpace(a_basis, c_layout))
         d_C = layout.d_center
         report.improper = report.A_C.dim in (1, d_C * d_C)
     if right:
-        c_layout = SystemLayout(layout.center_dims)
         report.B_C = MatrixAlgebra(OperatorSpace(b_basis, c_layout))
     if build_algebras and left and right:
-        report.Lbar = _edge_factor_algebra(report.A_C.basis, layout, "left")
-        report.Rbar = _edge_factor_algebra(report.B_C.basis, layout, "right")
+        report.Lbar = _edge_factor_algebra(report.A_C.basis, layout)
+        # 1_L x B_C x M_R is M_R x B_C x 1_L on the swapped layout, swapped back
+        swapped_rbar = _edge_factor_algebra(report.B_C.basis, swapped).basis
+        report.Rbar = MatrixAlgebra(OperatorSpace(_swap_edges(swapped_rbar, swapped), layout))
     return report
 
 
@@ -295,15 +347,6 @@ class InvariantAlgebras:
     layout: SystemLayout
 
 
-def _swap_edges(basis: np.ndarray, layout: SystemLayout) -> np.ndarray:
-    """Reorder operators from (L, C, R) to (R, C, L) tensor factors."""
-    d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
-    k = len(basis)
-    T = basis.reshape(k, d_L, d_C, d_R, d_L, d_C, d_R)
-    T = T.transpose(0, 3, 2, 1, 6, 5, 4)
-    return T.reshape(k, layout.dim, layout.dim)
-
-
 def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> InvariantAlgebras:
     """Invariant algebras of a wall, with the central factors re-extracted
     from the full spans as a consistency check."""
@@ -311,12 +354,7 @@ def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> Inva
     if not report.is_wall:
         raise ValueError(f"not a wall: left={report.left}, right={report.right}")
     A_C = extract_central_factor(report.Lbar.space, layout)
-    swapped_layout = SystemLayout(
-        (layout.d_right,) + layout.center_dims + (layout.d_left,),
-        (0,),
-        tuple(range(1, 1 + len(layout.center_dims))),
-        (1 + len(layout.center_dims),),
-    )
+    swapped_layout = _swapped_layout(layout)
     swapped = OperatorSpace(_swap_edges(report.Rbar.basis, layout), swapped_layout)
     B_C = extract_central_factor(swapped, swapped_layout)
     # the theorem demands the central factors commute pairwise
@@ -565,11 +603,11 @@ def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2, tol: float 
     brickwork Floquet unitary and report the wall windows found."""
     site_dims = tuple(int(d) for d in site_dims)
     n = len(site_dims)
-    U = brickwork_unitary(site_dims, even_gates, odd_gates)
+    U = _check_unitary(brickwork_unitary(site_dims, even_gates, odd_gates), prod(site_dims))
     records = []
     for width in range(1, max_width + 1):
         for start in range(1, n - width):
             layout = SystemLayout.chain(site_dims, start, width)
-            rep = verify_wall(U, layout, tol, build_algebras=False)
+            rep = _verify_wall(U, layout, tol, build_algebras=False)
             records.append(ScanRecord(start, width, rep.left, rep.right))
     return ScanReport(records)

@@ -4,17 +4,29 @@ gauged sequences, fragment counting, and chain scanning."""
 import numpy as np
 import pytest
 
+import wallkit.dynamics as dynamics
 from wallkit.layout import SeededRng, SystemLayout
-from wallkit.linalg import dagger, embed, haar_unitary, kron, orthonormal_basis, partial_trace
+from wallkit.linalg import (
+    RANK_TOL,
+    ZERO_TOL,
+    dagger,
+    embed,
+    haar_unitary,
+    kron,
+    orthonormal_basis,
+    partial_trace,
+)
 from wallkit.algebra import (
     MatrixAlgebra,
     OperatorSpace,
+    close_algebra,
     commutant,
     contains,
     equals,
     intersect,
 )
 from wallkit.dynamics import (
+    ESCAPE_TOL,
     brickwork_unitary,
     commuting_ops,
     conserved_algebra,
@@ -129,6 +141,145 @@ class TestVerifyWall:
         rep = verify_wall(wall.U, wall.layout)
         assert rep.A_C.dim == 4 and rep.B_C.dim == 4
         assert equals(rep.A_C, wall.A_C)
+
+    def test_independent_of_global_random_state(self):
+        wall = preset_wall("reducible-composite")
+        np.random.seed(1)
+        first = verify_wall(wall.U, wall.layout)
+        np.random.seed(2)
+        np.random.standard_normal(7)
+        second = verify_wall(wall.U, wall.layout)
+        assert first.summary() == second.summary()
+        assert (first.steps_left, first.steps_right) == (second.steps_left, second.steps_right)
+        assert first.A_C.basis.tobytes() == second.A_C.basis.tobytes()
+        assert first.B_C.basis.tobytes() == second.B_C.basis.tobytes()
+
+
+def _per_element_closure(U, layout, side, tol):
+    """Oracle: the closure with the per-element escape rule and no probe,
+    with its own right-edge branch and einsum sandwiches in chunks, with
+    early exit.  Returns (passed, rounds, central basis or None, worst
+    relative residual seen in the last round)."""
+    d_C = layout.d_center
+    d_edge = layout.d_left if side == "left" else layout.d_right
+    d_bulk = layout.dim // d_edge
+    d_out = d_bulk // d_C
+    if side == "left":
+        T = U.reshape(d_edge, d_bulk, d_edge, d_bulk).transpose(0, 2, 1, 3)
+        lift, shape = "kab,ij->kaibj", (d_C, d_out, d_C, d_out)
+    else:
+        T = U.reshape(d_bulk, d_edge, d_bulk, d_edge).transpose(1, 3, 0, 2)
+        lift, shape = "kab,ij->kiajb", (d_out, d_C, d_out, d_C)
+    m = orthonormal_basis(T.reshape(d_edge * d_edge, d_bulk, d_bulk), tol)
+    trace_axes = (2, 4) if side == "left" else (1, 3)
+    c_layout = SystemLayout(layout.center_dims)
+    a = np.eye(d_C, dtype=complex)[None] / np.sqrt(d_C)
+    for rounds in range(1, layout.dim**2 + 2):
+        lifted = np.einsum(lift, a, np.eye(d_out)).reshape(len(a), d_bulk, d_bulk)
+        collected, worst = [a], 0.0
+        chunk = max(1, 2**22 // (d_bulk * d_bulk * len(a) * len(m)))
+        for p0 in range(0, len(m), chunk):
+            part = np.einsum("pij,ajk->paik", m[p0 : p0 + chunk], lifted)
+            part = part.reshape(-1, d_bulk, d_bulk)
+            prods = np.einsum("nik,qjk->nqij", part, m.conj()).reshape(-1, d_bulk, d_bulk)
+            n = len(prods)
+            core = np.trace(prods.reshape(n, *shape), axis1=trace_axes[0], axis2=trace_axes[1])
+            core = core / d_out
+            recon = np.einsum(lift, core, np.eye(d_out)).reshape(prods.shape)
+            norms = np.linalg.norm(prods.reshape(n, -1), axis=1)
+            resid = np.linalg.norm((prods - recon).reshape(n, -1), axis=1)
+            rel = np.where(norms > ZERO_TOL, resid / np.maximum(norms, ZERO_TOL), 0.0)
+            worst = max(worst, rel.max())
+            if worst > tol:
+                return False, rounds, None, worst
+            collected.append(core[norms > ZERO_TOL])
+        new = close_algebra(list(np.concatenate(collected)), c_layout, RANK_TOL).basis
+        if len(new) == len(a):
+            return True, rounds, new, worst
+        a = new
+    raise AssertionError("oracle closure did not stabilize")
+
+
+def _assert_matches_oracle(U, layout, tol=ESCAPE_TOL):
+    rep = verify_wall(U, layout, tol, build_algebras=False)
+    left = _per_element_closure(U, layout, "left", tol)
+    right = _per_element_closure(U, layout, "right", tol)
+    assert (rep.left, rep.steps_left) == left[:2]
+    assert (rep.right, rep.steps_right) == right[:2]
+    c_layout = SystemLayout(layout.center_dims)
+    if rep.left:
+        assert equals(rep.A_C, OperatorSpace(left[2], c_layout))
+    if rep.right:
+        assert equals(rep.B_C, OperatorSpace(right[2], c_layout))
+    return rep
+
+
+def _scanner_chains(n=8, s=3):
+    """The 21 brickwork chains of acceptance criterion 10: one with a wall
+    embedded at site s, then 20 Haar chains."""
+    g = SeededRng(970).generator()
+    even = [haar_unitary(4, g) for _ in range(n // 2)]
+    odd = [haar_unitary(4, g) for _ in range((n - 1) // 2)]
+    even[(s - 1) // 2] = conditional_unitary(np.eye(2), [haar_unitary(2, g) for _ in range(2)])
+    odd[(s - 1) // 2] = conditional_unitary(
+        np.eye(2), [haar_unitary(2, g) for _ in range(2)], control_first=True
+    )
+    chains = [(even, odd)]
+    for k in range(20):
+        gk = SeededRng(971, k).generator()
+        chains.append(
+            ([haar_unitary(4, gk) for _ in range(n // 2)],
+             [haar_unitary(4, gk) for _ in range((n - 1) // 2)])
+        )
+    return chains
+
+
+class TestClosureProbe:
+    """The probe may only reject rounds that the per-element rule rejects."""
+
+    def test_haar_non_walls_match_oracle(self):
+        lay = SystemLayout.tripartite(2, (2,), 2)
+        for k in range(50):
+            rep = _assert_matches_oracle(haar_unitary(8, SeededRng(900, k)), lay)
+            assert not rep.left and not rep.right
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_match_oracle(self, name):
+        wall = preset_wall(name)
+        assert _assert_matches_oracle(wall.U, wall.layout).is_wall
+
+    def test_scanner_chains_match_oracle(self):
+        n = 8
+        for chain, (even, odd) in enumerate(_scanner_chains(n)):
+            U = brickwork_unitary((2,) * n, even, odd)
+            for width in (1, 2):
+                for start in range(1, n - width):
+                    rep = _assert_matches_oracle(U, SystemLayout.chain((2,) * n, start, width))
+                    assert rep.is_wall == (chain == 0 and start <= 3 < start + width)
+
+    def test_near_threshold_falls_through_to_per_element_rule(self, monkeypatch):
+        # a wall perturbed by eps, with tol just below the worst relative
+        # escape of one sandwich: the probe cannot certify the escape, so
+        # only the per-element rule rejects the round.  (The edge blocks of
+        # this preset already span their full space, so the perturbation
+        # adds no edge direction of norm eps, whose sandwiches would escape
+        # by O(1) relative to their norm.)
+        wall = preset_wall("nonabelian-cnot")
+        h = haar_unitary(wall.layout.dim, SeededRng(41))
+        w, v = np.linalg.eigh((h + dagger(h)) / 2)
+        U = wall.U @ (v * np.exp(1e-6j * w)) @ dagger(v)
+        _, _, _, worst = _per_element_closure(U, wall.layout, "left", ESCAPE_TOL)
+        assert 1e-7 < worst < 1e-5
+        tol = worst * (1 - 1e-6)
+        assert _per_element_closure(U, wall.layout, "left", tol)[:2] == (False, 1)
+        fired = []
+        probe = dynamics._probe_escapes
+        monkeypatch.setattr(
+            dynamics, "_probe_escapes", lambda *args: fired.append(probe(*args)) or fired[-1]
+        )
+        rep = verify_wall(U, wall.layout, tol, build_algebras=False)
+        assert fired and not any(fired)
+        assert not rep.left and rep.steps_left == 1
 
 
 class TestInvariantAlgebras:
@@ -390,6 +541,12 @@ class TestScan:
         expected = sum(n - width - 1 for width in (1, 2))
         assert len(rep.detections) == expected
         assert rep.minimal_windows == [(s, 1) for s in range(1, n - 1)]
+
+    def test_nonunitary_gate_rejected(self):
+        even, odd = _scan_gates(4, SeededRng(34))
+        odd[0] = np.ones((4, 4))
+        with pytest.raises(ValueError):
+            scan_chain((2,) * 4, even, odd)
 
     def test_brickwork_order(self):
         # odd layer applied after even layer
