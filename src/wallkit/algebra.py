@@ -62,10 +62,6 @@ class OperatorSpace:
         mats = [np.asarray(b)[..., 0] + 1j * np.asarray(b)[..., 1] for b in data["basis"]]
         return cls(np.asarray(mats), layout)
 
-    @classmethod
-    def from_matrices(cls, mats, layout: SystemLayout, tol: float = RANK_TOL):
-        return cls(orthonormal_basis(mats, tol), layout)
-
 
 @dataclass
 class MatrixAlgebra:

@@ -12,19 +12,23 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .layout import SeededRng, SystemLayout
 from .linalg import RANK_TOL, ZERO_TOL, embed, haar_unitary
-from .algebra import MatrixAlgebra, center as algebra_center, close_algebra, commutant
+from .algebra import center as algebra_center, close_algebra, commutant
 from .blocks import decompose, isomorphism_signature
 from .walls import (
     PRESET_NAMES,
     WallSpec,
+    conditional_unitary,
     pauli_string,
+    preset_algebra,
     preset_wall,
+    resolve_central_algebra,
     synth_wall,
 )
 from . import dynamics, observables
@@ -42,46 +46,49 @@ class PropertyViolation(Exception):
         self.data = data
 
 
-COMMANDS = (
-    "close", "commutant", "center", "decompose", "synth", "verify",
-    "lightcone", "invariants", "conserved", "gauge-seq", "fragments",
-    "scan", "arealaw", "measure", "sff",
-)
+class RunConfig(SimpleNamespace):
+    """One run's ``command`` and the merged value of every key in ``FLAGS``."""
 
-# keys accepted in a JSON config file; anything else is rejected
-CONFIG_KEYS = {
-    "preset", "generators", "dims", "algebra", "permutation", "seed",
-    "t_max", "samples", "rounds", "observable", "seed_site", "seed_pauli",
-    "tol_rank", "tol_support", "out", "format", "chain_sites",
-    "embed_at", "haar_dim", "dim_l", "dim_r", "max_width",
+
+@dataclass(frozen=True)
+class Flag:
+    """Type, default and range of one config key: ``kind`` is int, float,
+    str or "ints" (comma-separated integers); ``low``/``high`` bound a number
+    or each integer of a list."""
+
+    kind: object
+    default: object = None
+    low: float | None = None
+    high: int | None = None
+    choices: tuple[str, ...] | None = None
+
+
+FLAGS = {
+    "preset": Flag(str, choices=PRESET_NAMES),
+    "generators": Flag(str),
+    "dims": Flag("ints", low=1),
+    "algebra": Flag(str, "diag"),
+    "permutation": Flag("ints"),
+    "seed": Flag(int, 0, low=0),
+    "t_max": Flag(int, 20, low=0),
+    "samples": Flag(int, 4000, low=1),
+    "rounds": Flag(int, 10, low=1),
+    "observable": Flag(str, "Z"),
+    "seed_site": Flag(int, 0),
+    "seed_pauli": Flag(str, "Z"),
+    "tol_rank": Flag(float, RANK_TOL, low=0.0),
+    "tol_support": Flag(float, ZERO_TOL, low=0.0),
+    "out": Flag(str),
+    "format": Flag(str, "csv", choices=("csv", "json")),
+    "chain_sites": Flag(int, 8, low=4, high=10),
+    "embed_at": Flag(int),
+    "haar_dim": Flag(int, low=1),
+    "dim_l": Flag(int, 2, low=1),
+    "dim_r": Flag(int, 2, low=1),
+    "max_width": Flag(int, 2, low=1),
 }
 
-
-@dataclass
-class RunConfig:
-    command: str
-    preset: str | None = None
-    generators: str | None = None
-    dims: list[int] | None = None
-    algebra: str = "diag"
-    permutation: list[int] | None = None
-    seed: int = 0
-    t_max: int = 20
-    samples: int = 4000
-    rounds: int = 10
-    observable: str = "Z"
-    seed_site: int = 0
-    seed_pauli: str = "Z"
-    tol_rank: float = RANK_TOL
-    tol_support: float = ZERO_TOL
-    out: str | None = None
-    format: str = "csv"
-    chain_sites: int = 8
-    embed_at: int | None = None
-    haar_dim: int | None = None
-    dim_l: int = 2
-    dim_r: int = 2
-    max_width: int = 2
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", "ints": "integers"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,38 +99,59 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="wallkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, keys) in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--preset", choices=PRESET_NAMES)
         sp.add_argument("--config")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--t-max", dest="t_max", type=int)
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--rounds", type=int)
-        sp.add_argument("--tol-rank", dest="tol_rank", type=float)
-        sp.add_argument("--tol-support", dest="tol_support", type=float)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--generators")
-        sp.add_argument("--dims")
-        sp.add_argument("--algebra")
-        sp.add_argument("--permutation")
-        sp.add_argument("--observable")
-        sp.add_argument("--seed-site", dest="seed_site", type=int)
-        sp.add_argument("--seed-pauli", dest="seed_pauli")
-        sp.add_argument("--chain-sites", dest="chain_sites", type=int)
-        sp.add_argument("--embed-at", dest="embed_at", type=int)
-        sp.add_argument("--haar-dim", dest="haar_dim", type=int)
-        sp.add_argument("--dim-l", dest="dim_l", type=int)
-        sp.add_argument("--dim-r", dest="dim_r", type=int)
-        sp.add_argument("--max-width", dest="max_width", type=int)
+        for key in ("seed",) + keys:
+            flag = FLAGS[key]
+            sp.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=str if flag.kind == "ints" else flag.kind,
+                choices=flag.choices,
+            )
     return p
 
 
+def _has_kind(value, kind) -> bool:
+    if kind == "ints":
+        return isinstance(value, list) and all(_has_kind(v, int) for v in value)
+    allowed = (int, float) if kind is float else kind
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def _checked(key: str, value):
+    """``value`` for config key ``key`` if it has the key's type and range."""
+    flag, name = FLAGS[key], "--" + key.replace("_", "-")
+    if value is None and flag.default is None:
+        return None
+    if flag.kind == "ints" and isinstance(value, str):
+        try:
+            value = [int(x) for x in value.split(",")]
+        except ValueError:
+            pass
+    if not _has_kind(value, flag.kind):
+        raise UsageError(f"{name} must be {_KIND_NAMES[flag.kind]}, got {value!r}")
+    if flag.choices is not None and value not in flag.choices:
+        raise UsageError(f"{name} must be one of {list(flag.choices)}, got {value!r}")
+    if flag.low is not None:
+        high = float("inf") if flag.high is None else flag.high
+        for v in value if flag.kind == "ints" else [value]:
+            if not flag.low <= v <= high:
+                bound = f">= {flag.low}" if flag.high is None else f"between {flag.low} and {high}"
+                raise UsageError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
 def parse_config(argv) -> RunConfig:
-    """Merge precedence: flags > config file > WALLKIT_SEED env > defaults."""
+    """Merge precedence: flags > config file > WALLKIT_SEED env > defaults.
+
+    A subcommand accepts only the keys its handler reads, as flags or in
+    the config file, and every merged value must have its flag's type and
+    range."""
     ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
+    keys = ("seed",) + COMMANDS[ns.command][1]
+    cfg = RunConfig(command=ns.command, **{k: f.default for k, f in FLAGS.items()})
     env_seed = os.environ.get("WALLKIT_SEED")
     if env_seed is not None:
         try:
@@ -139,32 +167,22 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(f"cannot read config {ns.config}: {exc}")
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_values) - CONFIG_KEYS
+        unknown = set(file_values) - set(keys)
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"unknown config keys for {ns.command}: {sorted(unknown)}")
     for key, value in file_values.items():
         setattr(cfg, key, value)
-    for key in vars(cfg):
-        flag_val = getattr(ns, key, None)
-        if flag_val is not None and key != "command":
+    for key in keys:
+        flag_val = getattr(ns, key)
+        if flag_val is not None:
             if key in file_values and file_values[key] != flag_val:
                 print(
                     f"warning: flag --{key.replace('_', '-')} overrides config value",
                     file=sys.stderr,
                 )
             setattr(cfg, key, flag_val)
-    if isinstance(cfg.dims, str):
-        try:
-            cfg.dims = [int(x) for x in cfg.dims.split(",")]
-        except ValueError:
-            raise UsageError(f"bad --dims value {cfg.dims!r}; expected e.g. 2,2,2")
-    if isinstance(cfg.permutation, str):
-        try:
-            cfg.permutation = [int(x) for x in cfg.permutation.split(",")]
-        except ValueError:
-            raise UsageError(f"bad --permutation value {cfg.permutation!r}")
-    if cfg.format not in ("csv", "json"):
-        raise UsageError(f"unknown format {cfg.format!r}")
+    for key in keys:
+        setattr(cfg, key, _checked(key, getattr(cfg, key)))
     return cfg
 
 
@@ -216,22 +234,36 @@ def _algebra_from_config(cfg: RunConfig):
         raise UsageError(str(exc))
 
 
-def _wall_from_config(cfg: RunConfig):
-    if cfg.preset:
-        return preset_wall(cfg.preset, dims=(cfg.dim_l, cfg.dim_r), seed=cfg.seed)
-    # fall back to generic synthesis from dims + algebra
+def _dims_layout(cfg: RunConfig) -> SystemLayout:
     dims = cfg.dims or [2, 2, 2]
     if len(dims) < 3:
         raise UsageError("--dims needs at least L, one central site, and R")
-    layout = SystemLayout.tripartite(dims[0], dims[1:-1], dims[-1])
-    spec = WallSpec(
-        layout,
-        central_algebra=cfg.algebra,
-        permutation=cfg.permutation,
-        seed=cfg.seed,
-    )
+    return SystemLayout.tripartite(dims[0], dims[1:-1], dims[-1])
+
+
+def _wall_from_config(cfg: RunConfig):
     try:
+        if cfg.preset:
+            return preset_wall(cfg.preset, dims=(cfg.dim_l, cfg.dim_r), seed=cfg.seed)
+        # fall back to generic synthesis from dims + algebra
+        spec = WallSpec(
+            _dims_layout(cfg),
+            central_algebra=cfg.algebra,
+            permutation=cfg.permutation,
+            seed=cfg.seed,
+        )
         return synth_wall(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _central_algebra_from_config(cfg: RunConfig):
+    """Layout and A_C of the wall that ``_wall_from_config`` would build."""
+    try:
+        if cfg.preset:
+            return preset_algebra(cfg.preset, dims=(cfg.dim_l, cfg.dim_r))
+        layout = _dims_layout(cfg)
+        return layout, resolve_central_algebra(WallSpec(layout, central_algebra=cfg.algebra))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -286,16 +318,12 @@ def _cmd_synth(cfg):
 def _cmd_verify(cfg):
     if cfg.algebra == "haar":
         # verify a Haar-random unitary on the given layout (generically fails)
-        dims = cfg.dims or [2, 2, 2]
-        layout = SystemLayout.tripartite(dims[0], dims[1:-1], dims[-1])
+        layout = _dims_layout(cfg)
         U = haar_unitary(layout.dim, SeededRng(cfg.seed, 77))
-        report = dynamics.verify_wall(U, layout, cfg.tol_support * 10)
-        data = report.summary()
-        if not report.is_wall:
-            raise PropertyViolation("wall verification failed", data)
-        return data, None
-    wall = _wall_from_config(cfg)
-    report = dynamics.verify_wall(wall.U, wall.layout, cfg.tol_support * 10)
+    else:
+        wall = _wall_from_config(cfg)
+        U, layout = wall.U, wall.layout
+    report = dynamics.verify_wall(U, layout, cfg.tol_support * 10)
     data = report.summary()
     if not report.is_wall:
         raise PropertyViolation("wall verification failed", data)
@@ -369,8 +397,6 @@ def _cmd_fragments(cfg):
 
 def _cmd_scan(cfg):
     n = cfg.chain_sites
-    if not 4 <= n <= 10:
-        raise UsageError("--chain-sites must be between 4 and 10")
     g = SeededRng(cfg.seed, 21).generator()
     even = [haar_unitary(4, g) for _ in range((n) // 2)]
     odd = [haar_unitary(4, g) for _ in range((n - 1) // 2)]
@@ -380,8 +406,6 @@ def _cmd_scan(cfg):
             raise UsageError(
                 "--embed-at must be an odd site index with brickwork neighbours"
             )
-        from .walls import conditional_unitary
-
         xi = [haar_unitary(2, g) for _ in range(2)]
         zeta = [haar_unitary(2, g) for _ in range(2)]
         # even-layer gate (s-1, s): branches on the left leg, control on s
@@ -442,13 +466,15 @@ def _cmd_measure(cfg):
 
 
 def _cmd_sff(cfg):
+    if cfg.t_max < 1 or cfg.samples < 2:
+        raise UsageError("sff needs --t-max >= 1 and --samples >= 2")
     rng = SeededRng(cfg.seed, 51)
     if cfg.haar_dim is not None:
         res = observables.sff_mc("haar", cfg.t_max, cfg.samples, rng, haar_dim=cfg.haar_dim)
     else:
-        wall = _wall_from_config(cfg)
-        # block-Haar ensemble over the wall's own central algebra
-        spec = WallSpec(wall.layout, central_algebra=list(wall.A_C.basis), seed=cfg.seed)
+        # block-Haar ensemble over the wall's central algebra; no wall is built
+        layout, A_C = _central_algebra_from_config(cfg)
+        spec = WallSpec(layout, central_algebra=list(A_C.basis))
         res = observables.sff_mc(spec, cfg.t_max, cfg.samples, rng)
     dev = np.abs(res.K_mc[1:] - res.K_analytic[1:]) / np.maximum(res.stderr[1:], 1e-30)
     data = {
@@ -460,22 +486,30 @@ def _cmd_sff(cfg):
     return data, ("csv", (header, res.to_csv_rows()))
 
 
-_HANDLERS = {
-    "close": _cmd_close,
-    "commutant": _cmd_commutant,
-    "center": _cmd_center,
-    "decompose": _cmd_decompose,
-    "synth": _cmd_synth,
-    "verify": _cmd_verify,
-    "lightcone": _cmd_lightcone,
-    "invariants": _cmd_invariants,
-    "conserved": _cmd_conserved,
-    "gauge-seq": _cmd_gauge_seq,
-    "fragments": _cmd_fragments,
-    "scan": _cmd_scan,
-    "arealaw": _cmd_arealaw,
-    "measure": _cmd_measure,
-    "sff": _cmd_sff,
+# the subcommands: handler and the config keys it reads besides seed; --format
+# only where the artifact is a CSV table, since JSON artifacts ignore it
+_LAYOUT = ("preset", "dim_l", "dim_r", "dims", "algebra")  # fix the layout and A_C
+_WALL = _LAYOUT + ("permutation",)
+_ALGEBRA = ("generators", "tol_rank")
+COMMANDS = {
+    "close": (_cmd_close, _ALGEBRA + ("out",)),
+    "commutant": (_cmd_commutant, _ALGEBRA + ("out",)),
+    "center": (_cmd_center, _ALGEBRA + ("out",)),
+    "decompose": (_cmd_decompose, _ALGEBRA + ("out",)),
+    "synth": (_cmd_synth, _WALL + ("out",)),
+    "verify": (_cmd_verify, _WALL + ("tol_support",)),
+    "lightcone": (
+        _cmd_lightcone,
+        _WALL + ("seed_site", "seed_pauli", "t_max", "tol_support", "out", "format"),
+    ),
+    "invariants": (_cmd_invariants, _WALL),
+    "conserved": (_cmd_conserved, _WALL + ("tol_rank", "out")),
+    "gauge-seq": (_cmd_gauge_seq, _WALL + ("t_max",)),
+    "fragments": (_cmd_fragments, _WALL),
+    "scan": (_cmd_scan, ("chain_sites", "embed_at", "max_width", "tol_support", "out", "format")),
+    "arealaw": (_cmd_arealaw, _WALL + ("t_max", "samples")),
+    "measure": (_cmd_measure, _WALL + ("observable", "rounds", "out", "format")),
+    "sff": (_cmd_sff, _LAYOUT + ("haar_dim", "t_max", "samples", "out", "format")),
 }
 
 
@@ -509,7 +543,7 @@ def run(argv) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     try:
-        data, artifact = _HANDLERS[cfg.command](cfg)
+        data, artifact = COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -309,8 +309,6 @@ def verify_wall(
     The probes come from a fixed seed.  Central factor algebras are
     attached on success.
     """
-    if not layout.left or not layout.right:
-        raise ValueError("wall verification needs non-empty L and R regions")
     return _verify_wall(_check_unitary(U, layout.dim), layout, tol, build_algebras)
 
 
@@ -318,6 +316,8 @@ def _verify_wall(
     U: np.ndarray, layout: SystemLayout, tol: float, build_algebras: bool
 ) -> WallReport:
     """``verify_wall`` on a U already checked to be a d x d unitary."""
+    if not layout.left or not layout.right:
+        raise ValueError("wall verification needs non-empty L and R regions")
     swapped = _swapped_layout(layout)
     left, s_l, a_basis = _directional_closure(U, layout, tol)
     right, s_r, b_basis = _directional_closure(_swap_edges(U[None], layout)[0], swapped, tol)
@@ -429,7 +429,7 @@ def commuting_ops(U, layout: SystemLayout, tol: float = RANK_TOL) -> CommutingOp
     direct = MatrixAlgebra(OperatorSpace(basis, SystemLayout(layout.center_dims)))
     report = CommutingOpsReport(direct, None, None, None)
 
-    wall = verify_wall(U, layout, build_algebras=False)
+    wall = _verify_wall(U, layout, ESCAPE_TOL, build_algebras=False)
     if not wall.is_wall:
         report.skipped_reason = f"not a wall: left={wall.left}, right={wall.right}"
         return report

@@ -78,10 +78,6 @@ class SystemLayout:
     def center_dims(self) -> tuple[int, ...]:
         return tuple(self.site_dims[s] for s in self.center)
 
-    def center_only(self) -> "SystemLayout":
-        """Layout of the central region viewed as a standalone system."""
-        return SystemLayout(self.center_dims)
-
     def to_json(self) -> list[int]:
         return list(self.site_dims)
 

@@ -4,14 +4,14 @@ normaliser sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import prod
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .layout import SeededRng, SystemLayout, as_generator
-from .linalg import RANK_TOL, dagger, embed, haar_unitary, hs_norm, orthonormal_basis
-from .algebra import MatrixAlgebra, OperatorSpace, close_algebra, commutant
+from .linalg import RANK_TOL, dagger, embed, haar_unitary, hs_norm
+from .algebra import MatrixAlgebra, close_algebra, commutant
 from .blocks import BlockStructure, decompose
 from . import dynamics
 
@@ -107,8 +107,12 @@ class WallUnitary:
     T_blocks: list
     R_blocks: list
     permutation: list[int]
-    trivial: bool = False
     name: str | None = None
+
+    @property
+    def trivial(self) -> bool:
+        """A_C is 1 or all of M_C: an improper wall."""
+        return self.A_C.dim in (1, self.layout.d_center ** 2)
 
 
 def assemble_wall(layout: SystemLayout, bs: BlockStructure, T_blocks, R_blocks, permutation=None) -> np.ndarray:
@@ -228,11 +232,7 @@ def synth_wall(spec: WallSpec, rng=None, verify: bool = True) -> WallUnitary:
         raise ValueError(f"unknown block mode {spec.block_mode!r}")
     U = assemble_wall(layout, bs, T_blocks, R_blocks, spec.permutation)
     perm = list(spec.permutation) if spec.permutation else list(range(bs.n_blocks))
-    d_C = layout.d_center
-    wall = WallUnitary(
-        U, layout, A_C, bs, T_blocks, R_blocks, perm,
-        trivial=A_C.dim in (1, d_C * d_C),
-    )
+    wall = WallUnitary(U, layout, A_C, bs, T_blocks, R_blocks, perm)
     if verify:
         _assert_wall(wall)
     return wall
@@ -271,16 +271,8 @@ def brickwork_split(spec: WallSpec, rng=None, permutation_V=None, permutation_W=
         [np.kron(np.eye(d_L), t) for t in t_small], Rt, permutation_W,
     )
     U = W_CR @ V_LC
-    # composite blocks in source order: block j passes through both gates
-    pV = list(permutation_V) if permutation_V else list(range(bs.n_blocks))
-    pW = list(permutation_W) if permutation_W else list(range(bs.n_blocks))
-    perm = [pW[pV[j]] for j in range(bs.n_blocks)]
-    T_blocks, R_blocks, perm_rec = recover_blocks(U, layout, bs)
-    d_C = layout.d_center
-    wall = WallUnitary(
-        U, layout, A_C, bs, T_blocks, R_blocks, perm_rec,
-        trivial=A_C.dim in (1, d_C * d_C),
-    )
+    T_blocks, R_blocks, perm = recover_blocks(U, layout, bs)
+    wall = WallUnitary(U, layout, A_C, bs, T_blocks, R_blocks, perm)
     _assert_wall(wall)
     return V_LC, W_CR, wall
 
@@ -311,28 +303,97 @@ def conditional_unitary(eigenbasis, branches, control_first: bool = False) -> np
 # catalogue presets
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = (
-    "abelian-pair",
-    "reducible-composite",
-    "soliton-x",
-    "uncoupled-center",
-    "swap-zz",
-    "fswap",
-    "nonabelian-cnot",
-)
-
-
-def _finish_preset(U, layout, A_C, seed_rng, name) -> WallUnitary:
-    """Common tail: decompose the central algebra, recover block data, verify."""
-    bs = decompose(A_C, seed_rng)
-    T_blocks, R_blocks, perm = recover_blocks(U, layout, bs)
-    d_C = layout.d_center
-    wall = WallUnitary(
-        U, layout, A_C, bs, T_blocks, R_blocks, perm,
-        trivial=A_C.dim in (1, d_C * d_C), name=name,
+def _conditional_pair(preset: Preset, layout: SystemLayout, g) -> np.ndarray:
+    """U = W_CR (middle gate) V_LC: two conditional gates with their controls
+    on the outer central sites, V = sum_i xi_i x |i><i| on (L, first central
+    site) and W = sum_i |i><i| x zeta_i on (last central site, R)."""
+    n_c = len(preset.center)
+    xi = [haar_unitary(layout.d_left, g) for _ in range(2)]
+    zeta = [haar_unitary(layout.d_right, g) for _ in range(2)]
+    V = embed(conditional_unitary(np.eye(2), xi), (0, 1), layout)
+    W = embed(
+        conditional_unitary(np.eye(2), zeta, control_first=True), (n_c, n_c + 1), layout
     )
-    _assert_wall(wall)
-    return wall
+    if preset.middle is None:
+        return W @ V
+    sites, gate = preset.middle
+    return W @ embed(gate, sites, layout) @ V
+
+
+def _fswap(preset: Preset, layout: SystemLayout, g) -> np.ndarray:
+    """Fermionic swap between controlled-X couplings to either edge."""
+    # V: control on L, X on the near central qubit (an element of A_C)
+    V = conditional_unitary(np.eye(2), [np.eye(2), PAULI["X"]], control_first=True)
+    V = embed(V, (0, 1), layout)
+    # W: control on R, X on the far central qubit (commutant of A_C)
+    W = conditional_unitary(np.eye(2), [np.eye(2), PAULI["X"]])
+    W = embed(W, (2, 3), layout)
+    fswap = np.array(
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex
+    )
+    return W @ embed(fswap, (1, 2), layout) @ V
+
+
+@dataclass(frozen=True, eq=False)
+class Preset:
+    """A catalogue wall: central site dims, the generators of A_C, and the
+    builder of U from the layout and a generator (None: block-Haar synthesis
+    over A_C).  ``middle`` = (sites, gate) sits between the conditional
+    gates; ``qubit_edges`` fixes d_L = d_R = 2."""
+
+    center: tuple[int, ...]
+    generators: tuple[np.ndarray, ...]
+    build: Callable | None = _conditional_pair
+    middle: tuple[tuple[int, ...], np.ndarray] | None = None
+    qubit_edges: bool = False
+
+    def central_algebra(self) -> MatrixAlgebra:
+        return close_algebra(list(self.generators), SystemLayout(self.center))
+
+
+_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+_ZZ = np.diag([1, -1, -1, 1]).astype(complex)
+
+PRESETS = {
+    # two conditional gates sharing a diagonal control on the central qubit
+    "abelian-pair": Preset((2,), (PAULI["Z"],)),
+    # the wall splits over a two-qubit center: each edge couples only to its
+    # nearest central qubit
+    "reducible-composite": Preset((2, 2), (np.kron(PAULI["Z"], np.eye(2)),)),
+    # central bit-flip between the conditionals: Z_C -> -Z_C -> Z_C orbit
+    "soliton-x": Preset((2,), (PAULI["Z"],), middle=((1,), PAULI["X"])),
+    # middle central qubit touched by nothing: its full algebra is conserved
+    "uncoupled-center": Preset((2, 2, 2), (np.kron(PAULI["Z"], np.eye(4)),)),
+    # central SWAP-and-phase gate shuttles the two diagonal controls
+    "swap-zz": Preset(
+        (2, 2), (np.diag(np.arange(4, dtype=complex)),), middle=((1, 2), _SWAP @ _ZZ)
+    ),
+    "fswap": Preset(
+        (2, 2), (pauli_string("XI"), pauli_string("ZX")), build=_fswap, qubit_edges=True
+    ),
+    # generic synthesis over the non-Abelian two-qubit Pauli algebra
+    "nonabelian-cnot": Preset((2, 2), (pauli_string("XI"), pauli_string("ZX")), build=None),
+}
+
+PRESET_NAMES = tuple(PRESETS)
+
+
+def _preset_layout(name: str, dims=None) -> tuple[Preset, SystemLayout]:
+    """The preset's table row and its layout with edge dims ``dims`` =
+    (d_L, d_R), default (2, 2)."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    preset = PRESETS[name]
+    d_L, d_R = (2, 2) if dims is None else (int(dims[0]), int(dims[1]))
+    if preset.qubit_edges and (d_L, d_R) != (2, 2):
+        raise ValueError(f"{name} preset is defined on qubit edges")
+    return preset, SystemLayout.tripartite(d_L, preset.center, d_R)
+
+
+def preset_algebra(name: str, dims=None) -> tuple[SystemLayout, MatrixAlgebra]:
+    """Layout and central algebra A_C of a preset, without building its wall."""
+    preset, layout = _preset_layout(name, dims)
+    return layout, preset.central_algebra()
 
 
 def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
@@ -340,113 +401,23 @@ def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
 
     Each preset fixes a concrete wiring of the pictured gates; all presets
     are wall-verified at construction time.  ``dims`` = (d_L, d_R) overrides
-    the edge dimensions where the construction generalizes (conditional-gate
-    presets); the central region is fixed per preset.
+    the edge dimensions where the construction generalizes (all but
+    ``fswap``); the central region is fixed per preset.
     """
-    rng = SeededRng(seed, 101)
-    g = rng.generator()
-    d_L, d_R = (2, 2) if dims is None else (int(dims[0]), int(dims[1]))
-
-    if name == "abelian-pair":
-        # two conditional gates sharing a diagonal control on the central qubit
-        layout = SystemLayout.tripartite(d_L, (2,), d_R)
-        xi = [haar_unitary(d_L, g) for _ in range(2)]
-        zeta = [haar_unitary(d_R, g) for _ in range(2)]
-        V = embed(conditional_unitary(np.eye(2), xi), (0, 1), layout)
-        W = embed(conditional_unitary(np.eye(2), zeta, control_first=True), (1, 2), layout)
-        U = W @ V
-        A_C = close_algebra([PAULI["Z"]], SystemLayout((2,)))
-        return _finish_preset(U, layout, A_C, rng, name)
-
-    if name == "reducible-composite":
-        # the wall splits over a two-qubit center: each edge couples only to
-        # its nearest central qubit
-        layout = SystemLayout.tripartite(d_L, (2, 2), d_R)
-        xi = [haar_unitary(d_L, g) for _ in range(2)]
-        zeta = [haar_unitary(d_R, g) for _ in range(2)]
-        V = embed(conditional_unitary(np.eye(2), xi), (0, 1), layout)
-        W = embed(conditional_unitary(np.eye(2), zeta, control_first=True), (2, 3), layout)
-        U = W @ V
-        A_C = close_algebra(
-            [np.kron(PAULI["Z"], np.eye(2))], SystemLayout((2, 2))
-        )
-        return _finish_preset(U, layout, A_C, rng, name)
-
-    if name == "soliton-x":
-        # central bit-flip between the conditionals: Z_C -> -Z_C -> Z_C orbit
-        layout = SystemLayout.tripartite(d_L, (2,), d_R)
-        xi = [haar_unitary(d_L, g) for _ in range(2)]
-        zeta = [haar_unitary(d_R, g) for _ in range(2)]
-        V = embed(conditional_unitary(np.eye(2), xi), (0, 1), layout)
-        W = embed(conditional_unitary(np.eye(2), zeta, control_first=True), (1, 2), layout)
-        X_C = embed(PAULI["X"], (1,), layout)
-        U = W @ X_C @ V
-        A_C = close_algebra([PAULI["Z"]], SystemLayout((2,)))
-        return _finish_preset(U, layout, A_C, rng, name)
-
-    if name == "uncoupled-center":
-        # middle central qubit touched by nothing: its full algebra is conserved
-        layout = SystemLayout.tripartite(d_L, (2, 2, 2), d_R)
-        xi = [haar_unitary(d_L, g) for _ in range(2)]
-        zeta = [haar_unitary(d_R, g) for _ in range(2)]
-        V = embed(conditional_unitary(np.eye(2), xi), (0, 1), layout)
-        W = embed(conditional_unitary(np.eye(2), zeta, control_first=True), (3, 4), layout)
-        U = W @ V
-        A_C = close_algebra(
-            [np.kron(PAULI["Z"], np.eye(4))], SystemLayout((2, 2, 2))
-        )
-        return _finish_preset(U, layout, A_C, rng, name)
-
-    if name == "swap-zz":
-        # central SWAP-and-phase gate shuttles the two diagonal controls
-        layout = SystemLayout.tripartite(d_L, (2, 2), d_R)
-        xi = [haar_unitary(d_L, g) for _ in range(2)]
-        zeta = [haar_unitary(d_R, g) for _ in range(2)]
-        V = embed(conditional_unitary(np.eye(2), xi), (0, 1), layout)
-        W = embed(conditional_unitary(np.eye(2), zeta, control_first=True), (2, 3), layout)
-        swap = np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
-        zz = np.diag([1, -1, -1, 1]).astype(complex)
-        mid = embed(swap @ zz, (1, 2), layout)
-        U = W @ mid @ V
-        A_C = close_algebra(
-            [np.diag(np.arange(4, dtype=complex))], SystemLayout((2, 2))
-        )
-        return _finish_preset(U, layout, A_C, rng, name)
-
-    if name == "fswap":
-        # fermionic swap between controlled-X couplings to either edge
-        if (d_L, d_R) != (2, 2):
-            raise ValueError("fswap preset is defined on qubit edges")
-        layout = SystemLayout.tripartite(2, (2, 2), 2)
-        # V: control on L, X on the near central qubit (an element of A_C)
-        V = conditional_unitary(np.eye(2), [np.eye(2), PAULI["X"]], control_first=True)
-        V = embed(V, (0, 1), layout)
-        # W: control on R, X on the far central qubit (commutant of A_C)
-        W = conditional_unitary(np.eye(2), [np.eye(2), PAULI["X"]])
-        W = embed(W, (2, 3), layout)
-        fswap = np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex
-        )
-        U = W @ embed(fswap, (1, 2), layout) @ V
-        A_C = close_algebra(
-            [pauli_string("XI"), pauli_string("ZX")], SystemLayout((2, 2))
-        )
-        return _finish_preset(U, layout, A_C, rng, name)
-
-    if name == "nonabelian-cnot":
-        # generic synthesis over the non-Abelian two-qubit Pauli algebra
-        spec = WallSpec(
-            SystemLayout.tripartite(d_L, (2, 2), d_R),
-            central_algebra="pauli:XI,ZX",
-            seed=seed,
-        )
+    preset, layout = _preset_layout(name, dims)
+    if preset.build is None:
+        spec = WallSpec(layout, central_algebra=list(preset.generators), seed=seed)
         wall = synth_wall(spec)
-        wall.name = name
-        return wall
-
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    else:
+        rng = SeededRng(seed, 101)
+        U = preset.build(preset, layout, rng.generator())
+        A_C = preset.central_algebra()
+        bs = decompose(A_C, rng)
+        T_blocks, R_blocks, perm = recover_blocks(U, layout, bs)
+        wall = WallUnitary(U, layout, A_C, bs, T_blocks, R_blocks, perm)
+        _assert_wall(wall)
+    wall.name = name
+    return wall
 
 
 def normaliser_sample(alg: MatrixAlgebra, rng, bs: BlockStructure | None = None) -> np.ndarray:

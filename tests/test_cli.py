@@ -1,13 +1,18 @@
 """CLI tests: summary schema, exit codes, config precedence, determinism,
 and artifact emission."""
 
+import importlib.util
 import json
+import re
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from wallkit.cli import run
+from wallkit import cli
+from wallkit.cli import COMMANDS, FLAGS, parse_config, run
 
 SCHEMA = json.loads(
     resources.files("wallkit.schemas").joinpath("summary.schema.json").read_text()
@@ -210,3 +215,164 @@ class TestDeterminism:
         a = _summary(capsys, ["measure", "--preset", "abelian-pair", "--seed", "1"])
         b = _summary(capsys, ["measure", "--preset", "abelian-pair", "--seed", "2"])
         assert a["data"] != b["data"] or a["seed"] != b["seed"]
+
+
+# a valid value for every config key, as a flag string and as a JSON value
+FLAG_VALUES = {
+    "preset": "fswap", "generators": "XI,ZX", "dims": "2,2,2", "algebra": "diag",
+    "permutation": "0,1", "seed": "1", "t_max": "3", "samples": "3", "rounds": "2",
+    "observable": "ZZ", "seed_site": "0", "seed_pauli": "X", "tol_rank": "1e-9",
+    "tol_support": "1e-12", "out": "x.json", "format": "json", "chain_sites": "4",
+    "embed_at": "1", "haar_dim": "4", "dim_l": "2", "dim_r": "2", "max_width": "2",
+}
+JSON_VALUES = {
+    "dims": [2, 2, 2], "permutation": [0, 1], "seed": 1, "t_max": 3, "samples": 3,
+    "rounds": 2, "seed_site": 0, "tol_rank": 1e-9, "tol_support": 1e-12,
+    "chain_sites": 4, "embed_at": 1, "haar_dim": 4, "dim_l": 2, "dim_r": 2, "max_width": 2,
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _unread_keys(command):
+    return sorted(set(FLAGS) - {"seed"} - set(COMMANDS[command][1]))
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestCommandTable:
+    def test_flag_values_cover_every_key(self):
+        assert set(FLAG_VALUES) == set(FLAGS)
+        assert set(COMMANDS) == set(SCHEMA["properties"]["command"]["enum"])
+
+    def test_benchmark_calls_parse(self):
+        workloads = _load_workloads()
+        calls = [op.argv for w in workloads.WORKLOADS.values() for op in w.ops]
+        assert len(calls) > 60
+        for argv in calls:
+            cfg = parse_config([*argv, "--seed", "1"])
+            assert cfg.command == argv[0] and cfg.seed == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_read_key_parses(self, command, tmp_path):
+        keys = ("seed",) + COMMANDS[command][1]
+        argv = [command]
+        for key in keys:
+            argv += [_flag(key), FLAG_VALUES[key]]
+        cfg = parse_config(argv)
+        assert cfg.seed == 1
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps({k: JSON_VALUES.get(k, FLAG_VALUES[k]) for k in keys}))
+        cfg = parse_config([command, "--config", str(cfgf)])
+        assert cfg.seed == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unread_flag_rejected(self, command, capsys):
+        for key in _unread_keys(command):
+            code, out, err = _run(capsys, [command, _flag(key), FLAG_VALUES[key]])
+            assert code == 1 and out == "", key
+            assert "unrecognized arguments" in json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unread_config_key_rejected(self, command, capsys, tmp_path):
+        unread = _unread_keys(command)
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps({k: JSON_VALUES.get(k, FLAG_VALUES[k]) for k in unread}))
+        code, out, err = _run(capsys, [command, "--config", str(cfgf)])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip())["error"] == f"unknown config keys for {command}: {unread}"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_only_read_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"--[a-z][a-z-]*", text)) - {"--help", "--config"}
+        assert listed == {_flag(k) for k in ("seed",) + COMMANDS[command][1]}
+
+
+INVALID_CALLS = [
+    "verify --preset fswap --dim-l 3",
+    "verify --preset abelian-pair --dim-l 0",
+    "measure --preset abelian-pair --rounds 0",
+    "lightcone --preset abelian-pair --t-max -1",
+    "sff --preset abelian-pair --samples 1",
+    "sff --preset abelian-pair --t-max -1 --samples 10",
+    "sff --preset abelian-pair --t-max 0 --samples 10",
+    "sff --haar-dim 0 --samples 10",
+    "sff --preset fswap --dim-l 3 --samples 10",
+    "gauge-seq --preset abelian-pair --t-max -1",
+    "arealaw --preset abelian-pair --t-max -1",
+    "arealaw --preset abelian-pair --samples 0",
+    "close --generators XI,ZX --samples 7 --chain-sites 99",
+    "close --generators XI --tol-rank -1",
+    "verify --preset fswap --seed -1",
+    "verify --dims 2,0,2",
+    "verify --algebra haar --dims 2,2",
+    "scan --chain-sites 4 --max-width 0",
+    "scan --chain-sites 11",
+]
+
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize("argv", INVALID_CALLS)
+    def test_usage_error(self, argv, capsys):
+        code, out, err = _run(capsys, argv.split())
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert json.loads(err.strip().splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("lightcone", {"t_max": "5", "preset": "fswap"}),
+            ("lightcone", {"t_max": True, "preset": "fswap"}),
+            ("lightcone", {"t_max": None, "preset": "fswap"}),
+            ("verify", {"preset": "nope"}),
+            ("verify", {"dims": [2, "2", 2]}),
+            ("sff", {"samples": 1, "preset": "fswap"}),
+            ("scan", {"tol_support": "tiny"}),
+            ("measure", {"preset": "fswap", "rounds": 0}),
+        ],
+    )
+    def test_config_values_checked_like_flags(self, command, values, capsys, tmp_path):
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps(values))
+        code, out, err = _run(capsys, [command, "--config", str(cfgf)])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"]
+
+    def test_config_list_dims_accepted(self, capsys, tmp_path):
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps({"dims": [2, 2, 2], "algebra": "diag", "t_max": 3}))
+        p = _summary(capsys, ["gauge-seq", "--config", str(cfgf)])
+        assert p["data"]["steps"] == 3
+
+
+class TestSffWithoutWall:
+    def test_sff_reads_the_algebra_without_building_a_wall(self, capsys, monkeypatch):
+        def no_wall(*args, **kwargs):
+            raise AssertionError("sff built a wall")
+
+        monkeypatch.setattr(cli, "preset_wall", no_wall)
+        monkeypatch.setattr(cli, "synth_wall", no_wall)
+        monkeypatch.setattr(cli.dynamics, "verify_wall", no_wall)
+        for argv in (
+            ["sff", "--preset", "swap-zz", "--samples", "50", "--t-max", "3"],
+            ["sff", "--dims", "2,2,2,2", "--algebra", "pauli:XI,ZX", "--samples", "50"],
+        ):
+            p = _summary(capsys, argv)
+            assert p["data"]["samples"] == 50

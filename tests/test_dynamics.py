@@ -419,6 +419,14 @@ class TestCommutingOps:
         assert rep.skipped_reason.startswith("not a wall")
         assert rep.predicted_dim is None and rep.match is None and rep.residual is None
 
+    def test_nonunitary_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            commuting_ops(2 * np.eye(8), SystemLayout.tripartite(2, (2,), 2))
+
+    def test_layout_without_edges_rejected(self):
+        with pytest.raises(ValueError, match="non-empty L and R"):
+            commuting_ops(np.eye(4), SystemLayout((2, 2)))
+
     def test_elements_commute_with_unitary(self):
         wall = preset_wall("fswap")
         rep = commuting_ops(wall.U, wall.layout)

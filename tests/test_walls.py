@@ -8,21 +8,27 @@ from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import dagger, embed, haar_unitary, kron
 from wallkit.algebra import close_algebra, commutant, contains, equals
 from wallkit.blocks import decompose, isomorphism_signature
+from wallkit.dynamics import verify_wall
 from wallkit.walls import (
     PAULI,
     PRESET_NAMES,
+    PRESETS,
     WallSpec,
     assemble_wall,
     brickwork_split,
     conditional_unitary,
     normaliser_sample,
     pauli_string,
+    preset_algebra,
     preset_wall,
     recover_blocks,
     synth_wall,
 )
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
+SHARED_BUILDER_PRESETS = (
+    "abelian-pair", "reducible-composite", "soliton-x", "uncoupled-center", "swap-zz",
+)
 
 
 def _is_unitary(U, tol=1e-10):
@@ -171,10 +177,33 @@ class TestPresets:
         assert isomorphism_signature(wall.block_structure) == ((1, 1),) * 4
         assert sorted(wall.permutation) == [0, 1, 2, 3]
 
-    def test_edge_dims_override(self):
-        wall = preset_wall("abelian-pair", dims=(3, 4))
-        assert wall.layout.d_left == 3 and wall.layout.d_right == 4
+    @pytest.mark.parametrize("name", SHARED_BUILDER_PRESETS)
+    def test_edge_dims_override(self, name):
+        # asymmetric edges catch a swapped d_L/d_R or W on the wrong sites
+        wall = preset_wall(name, dims=(3, 4))
+        center = PRESETS[name].center
+        assert wall.layout.site_dims == (3, *center, 4)
         assert _is_unitary(wall.U)
+        report = verify_wall(wall.U, wall.layout)
+        assert report.is_wall and equals(report.A_C.space, wall.A_C.space)
+
+    def test_fswap_needs_qubit_edges(self):
+        with pytest.raises(ValueError, match="qubit edges"):
+            preset_wall("fswap", dims=(3, 2))
+        with pytest.raises(ValueError, match="qubit edges"):
+            preset_algebra("fswap", dims=(3, 2))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_algebra_matches_wall(self, name):
+        # the sff command reads A_C from the table instead of building the wall
+        dims = (3, 4) if name in SHARED_BUILDER_PRESETS else None
+        wall = preset_wall(name, dims=dims, seed=5)
+        layout, A_C = preset_algebra(name, dims=dims)
+        assert layout == wall.layout
+        assert np.array_equal(A_C.basis, wall.A_C.basis)
+
+    def test_trivial_follows_central_algebra(self):
+        assert not any(preset_wall(name).trivial for name in PRESET_NAMES)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown preset"):
