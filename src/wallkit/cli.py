@@ -358,8 +358,8 @@ def _cmd_invariants(cfg):
     data = {
         "dimA": inv.A_C.dim,
         "dimB": inv.B_C.dim,
-        "dim_Lbar": inv.Lbar.dim,
-        "dim_Rbar": inv.Rbar.dim,
+        "dim_Lbar": inv.dim_Lbar,
+        "dim_Rbar": inv.dim_Rbar,
         "stabilization_time": inv.stabilization_time,
     }
     return data, None
@@ -539,18 +539,14 @@ def _write_artifact(cfg: RunConfig, artifact):
 def run(argv) -> int:
     try:
         cfg = parse_config(argv)
-    except UsageError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    try:
         data, artifact = COMMANDS[cfg.command][0](cfg)
-    except UsageError as exc:
+        _write_artifact(cfg, artifact)
+    except (UsageError, OSError) as exc:  # OSError: an --out that cannot be written
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     except PropertyViolation as exc:
         _emit(cfg, cfg.command, "property-violation", exc.data)
         return 2
-    _write_artifact(cfg, artifact)
     _emit(cfg, cfg.command, "ok", data)
     return 0
 

@@ -25,7 +25,6 @@ from .algebra import (
     close_algebra,
     commutant,
     equals,
-    extract_central_factor,
     intersect,
 )
 from .blocks import decompose, isomorphism_signature
@@ -254,8 +253,6 @@ class WallReport:
     steps_right: int
     A_C: MatrixAlgebra | None = None
     B_C: MatrixAlgebra | None = None
-    Lbar: MatrixAlgebra | None = None
-    Rbar: MatrixAlgebra | None = None
     improper: bool | None = None
 
     @property
@@ -277,26 +274,7 @@ class WallReport:
         return out
 
 
-def _edge_factor_algebra(basis_c: np.ndarray, layout: SystemLayout) -> MatrixAlgebra:
-    """Lift a central algebra basis to M_L x A_C x 1_R."""
-    d_L, d_R = layout.d_left, layout.d_right
-    mats = []
-    for i in range(d_L):
-        for j in range(d_L):
-            u = np.zeros((d_L, d_L))
-            u[i, j] = 1.0
-            for c in basis_c:
-                mats.append(np.kron(np.kron(u, c), np.eye(d_R)))
-    basis = orthonormal_basis(np.asarray(mats), RANK_TOL)
-    return MatrixAlgebra(OperatorSpace(basis, layout))
-
-
-def verify_wall(
-    U,
-    layout: SystemLayout,
-    tol: float = ESCAPE_TOL,
-    build_algebras: bool = True,
-) -> WallReport:
+def verify_wall(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> WallReport:
     """Exact wall check by closure stabilization.
 
     The left check grows the algebra generated by the Heisenberg orbit of
@@ -306,15 +284,13 @@ def verify_wall(
     random probe first when the probe's escape exceeds
     max(tol sqrt(d_out), ZERO_TOL) times its coefficient weight, a bound
     that only a rejected round can exceed (see ``_directional_closure``).
-    The probes come from a fixed seed.  Central factor algebras are
-    attached on success.
+    The probes come from a fixed seed.  The report carries the central
+    factors A_C and B_C (on C) of each side that passes.
     """
-    return _verify_wall(_check_unitary(U, layout.dim), layout, tol, build_algebras)
+    return _verify_wall(_check_unitary(U, layout.dim), layout, tol)
 
 
-def _verify_wall(
-    U: np.ndarray, layout: SystemLayout, tol: float, build_algebras: bool
-) -> WallReport:
+def _verify_wall(U: np.ndarray, layout: SystemLayout, tol: float) -> WallReport:
     """``verify_wall`` on a U already checked to be a d x d unitary."""
     if not layout.left or not layout.right:
         raise ValueError("wall verification needs non-empty L and R regions")
@@ -329,42 +305,68 @@ def _verify_wall(
         report.improper = report.A_C.dim in (1, d_C * d_C)
     if right:
         report.B_C = MatrixAlgebra(OperatorSpace(b_basis, c_layout))
-    if build_algebras and left and right:
-        report.Lbar = _edge_factor_algebra(report.A_C.basis, layout)
-        # 1_L x B_C x M_R is M_R x B_C x 1_L on the swapped layout, swapped back
-        swapped_rbar = _edge_factor_algebra(report.B_C.basis, swapped).basis
-        report.Rbar = MatrixAlgebra(OperatorSpace(_swap_edges(swapped_rbar, swapped), layout))
     return report
+
+
+def _lift_factors(left, center, right, layout: SystemLayout) -> MatrixAlgebra:
+    """Span of every l x c x r over stacks of operators on L, C and R.  The
+    Kronecker products of HS-orthonormal stacks are HS-orthonormal, so they
+    are the basis as they stand."""
+    prods = np.einsum("iab,jce,kfg->ijkacfbeg", left, center, right)
+    return MatrixAlgebra(OperatorSpace(prods.reshape(-1, layout.dim, layout.dim), layout))
+
+
+def _edge_basis(d: int, full: bool) -> np.ndarray:
+    """HS-orthonormal basis of M_d (the matrix units) or of C 1_d."""
+    return np.eye(d * d).reshape(-1, d, d) if full else np.eye(d)[None] / np.sqrt(d)
 
 
 @dataclass
 class InvariantAlgebras:
-    Lbar: MatrixAlgebra
-    Rbar: MatrixAlgebra
+    """Invariant algebras of a wall, held by their central factors on C:
+    Lbar = M_L x A_C x 1_R and Rbar = 1_L x B_C x M_R."""
+
     A_C: MatrixAlgebra
     B_C: MatrixAlgebra
     stabilization_time: int
     layout: SystemLayout
 
+    @property
+    def dim_Lbar(self) -> int:
+        return self.layout.d_left ** 2 * self.A_C.dim
+
+    @property
+    def dim_Rbar(self) -> int:
+        return self.layout.d_right ** 2 * self.B_C.dim
+
+    @property
+    def Lbar(self) -> MatrixAlgebra:
+        """M_L x A_C x 1_R on the full space, built on each access."""
+        lay = self.layout
+        return _lift_factors(
+            _edge_basis(lay.d_left, True), self.A_C.basis, _edge_basis(lay.d_right, False), lay
+        )
+
+    @property
+    def Rbar(self) -> MatrixAlgebra:
+        """1_L x B_C x M_R on the full space, built on each access."""
+        lay = self.layout
+        return _lift_factors(
+            _edge_basis(lay.d_left, False), self.B_C.basis, _edge_basis(lay.d_right, True), lay
+        )
+
 
 def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> InvariantAlgebras:
-    """Invariant algebras of a wall, with the central factors re-extracted
-    from the full spans as a consistency check."""
-    report = verify_wall(U, layout, tol, build_algebras=True)
+    """Invariant algebras of a wall; raises ``ValueError`` on a non-wall."""
+    report = verify_wall(U, layout, tol)
     if not report.is_wall:
         raise ValueError(f"not a wall: left={report.left}, right={report.right}")
-    A_C = extract_central_factor(report.Lbar.space, layout)
-    swapped_layout = _swapped_layout(layout)
-    swapped = OperatorSpace(_swap_edges(report.Rbar.basis, layout), swapped_layout)
-    B_C = extract_central_factor(swapped, swapped_layout)
     # the theorem demands the central factors commute pairwise
-    for x in A_C.basis:
-        for y in B_C.basis:
+    for x in report.A_C.basis:
+        for y in report.B_C.basis:
             if hs_norm(x @ y - y @ x) > 1e-9:
                 raise RuntimeError("central factors fail to commute (numerical failure)")
-    return InvariantAlgebras(
-        report.Lbar, report.Rbar, A_C, B_C, report.stabilization_time, layout
-    )
+    return InvariantAlgebras(report.A_C, report.B_C, report.stabilization_time, layout)
 
 
 def conserved_algebra(inv: InvariantAlgebras, tol: float = RANK_TOL) -> MatrixAlgebra:
@@ -429,7 +431,7 @@ def commuting_ops(U, layout: SystemLayout, tol: float = RANK_TOL) -> CommutingOp
     direct = MatrixAlgebra(OperatorSpace(basis, SystemLayout(layout.center_dims)))
     report = CommutingOpsReport(direct, None, None, None)
 
-    wall = _verify_wall(U, layout, ESCAPE_TOL, build_algebras=False)
+    wall = _verify_wall(U, layout, ESCAPE_TOL)
     if not wall.is_wall:
         report.skipped_reason = f"not a wall: left={wall.left}, right={wall.right}"
         return report
@@ -542,8 +544,8 @@ def fragment_decomposition(inv: InvariantAlgebras) -> FragmentDecomposition:
     I = intersect(inv.A_C.space, inv.B_C.space)
     d2 = inv.layout.dim ** 2
     dim_I = I.dim
-    dim_L = inv.Lbar.dim - dim_I
-    dim_R = inv.Rbar.dim - dim_I
+    dim_L = inv.dim_Lbar - dim_I
+    dim_R = inv.dim_Rbar - dim_I
     dim_LR = dim_L * dim_R
     dim_rest = d2 - dim_L - dim_R - dim_LR - dim_I
     return FragmentDecomposition(dim_L, dim_R, dim_LR, dim_I, dim_rest, I.basis)
@@ -608,6 +610,6 @@ def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2, tol: float 
     for width in range(1, max_width + 1):
         for start in range(1, n - width):
             layout = SystemLayout.chain(site_dims, start, width)
-            rep = _verify_wall(U, layout, tol, build_algebras=False)
+            rep = _verify_wall(U, layout, tol)
             records.append(ScanRecord(start, width, rep.left, rep.right))
     return ScanReport(records)

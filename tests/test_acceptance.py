@@ -50,12 +50,12 @@ def test_criterion_1_wall_verification_suite():
     problems = []
     for name in PRESET_NAMES:
         wall = preset_wall(name, seed=0)
-        rep = verify_wall(wall.U, wall.layout, build_algebras=False)
+        rep = verify_wall(wall.U, wall.layout)
         if not (rep.left and rep.right):
             problems.append(f"preset {name} not a wall")
     lay8 = SystemLayout.tripartite(2, (2,), 2)
     for k in range(50):
-        rep = verify_wall(haar_unitary(8, SeededRng(900, k)), lay8, build_algebras=False)
+        rep = verify_wall(haar_unitary(8, SeededRng(900, k)), lay8)
         if rep.left or rep.right:
             problems.append(f"haar {k} flagged as wall")
     agree = 0
@@ -73,7 +73,7 @@ def test_criterion_1_wall_verification_suite():
                 WallSpec(lay8, "pauli:X" if k % 8 == 3 else "full", seed=3000 + k),
                 verify=False,
             ).U
-        rep = verify_wall(U, lay8, build_algebras=False)
+        rep = verify_wall(U, lay8)
         agree += int(rep.left == rep.right)
     if agree != 200:
         problems.append(f"left/right agreement {agree}/200")

@@ -324,6 +324,7 @@ INVALID_CALLS = [
     "verify --algebra haar --dims 2,2",
     "scan --chain-sites 4 --max-width 0",
     "scan --chain-sites 11",
+    "close --generators XI --out /nonexistent/x.json",  # an --out that cannot be opened
 ]
 
 
@@ -376,3 +377,18 @@ class TestSffWithoutWall:
         ):
             p = _summary(capsys, argv)
             assert p["data"]["samples"] == 50
+
+
+class TestNoFullSpaceLift:
+    def test_wall_commands_stay_on_the_center(self, capsys, monkeypatch):
+        def no_lift(*args, **kwargs):
+            raise AssertionError("built a full-space invariant algebra")
+
+        monkeypatch.setattr(cli.dynamics, "_lift_factors", no_lift)
+        for command in ("synth", "verify", "invariants", "conserved", "fragments"):
+            _summary(capsys, [command, "--preset", "abelian-pair"])
+        p = _summary(
+            capsys, ["invariants", "--preset", "abelian-pair", "--dim-l", "8", "--dim-r", "8"]
+        )
+        assert p["data"]["dimA"] == 2
+        assert p["data"]["dim_Lbar"] == 128 and p["data"]["dim_Rbar"] == 128

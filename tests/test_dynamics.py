@@ -23,6 +23,7 @@ from wallkit.algebra import (
     commutant,
     contains,
     equals,
+    extract_central_factor,
     intersect,
 )
 from wallkit.dynamics import (
@@ -201,7 +202,7 @@ def _per_element_closure(U, layout, side, tol):
 
 
 def _assert_matches_oracle(U, layout, tol=ESCAPE_TOL):
-    rep = verify_wall(U, layout, tol, build_algebras=False)
+    rep = verify_wall(U, layout, tol)
     left = _per_element_closure(U, layout, "left", tol)
     right = _per_element_closure(U, layout, "right", tol)
     assert (rep.left, rep.steps_left) == left[:2]
@@ -277,9 +278,20 @@ class TestClosureProbe:
         monkeypatch.setattr(
             dynamics, "_probe_escapes", lambda *args: fired.append(probe(*args)) or fired[-1]
         )
-        rep = verify_wall(U, wall.layout, tol, build_algebras=False)
+        rep = verify_wall(U, wall.layout, tol)
         assert fired and not any(fired)
         assert not rep.left and rep.steps_left == 1
+
+
+SHARED_BUILDER = ("abelian-pair", "reducible-composite", "soliton-x", "uncoupled-center", "swap-zz")
+# walls whose lifted Lbar and Rbar are checked against the central factors:
+# the presets, the shared-builder presets on (d_L, d_R) = (3, 4), and the
+# two diag walls of TestConserved, as (preset or "diag", dims, seed)
+ORACLE_WALLS = (
+    [(n, None, 0) for n in PRESET_NAMES]
+    + [(n, (3, 4), 0) for n in SHARED_BUILDER]
+    + [("diag", None, 40), ("diag", None, 41)]
+)
 
 
 class TestInvariantAlgebras:
@@ -295,7 +307,6 @@ class TestInvariantAlgebras:
         inv = invariant_algebras(wall.U, wall.layout)
         assert inv.A_C.dim == 4 and inv.B_C.dim == 4
         for x in inv.A_C.basis:
-            xl = kron(x, np.eye(1))
             for y in inv.B_C.basis:
                 assert np.max(np.abs(x @ y - y @ x)) < 1e-9
 
@@ -312,6 +323,42 @@ class TestInvariantAlgebras:
             moved = wall.U @ x @ dagger(wall.U)
             assert contains(inv.Lbar.space, moved, 1e-8)
 
+    @pytest.mark.parametrize(
+        "name, dims, seed", ORACLE_WALLS, ids=[f"{n}-{d}-{s}" for n, d, s in ORACLE_WALLS]
+    )
+    def test_lifts_re_extract_to_the_central_factors(self, name, dims, seed):
+        if name == "diag":
+            wall = synth_wall(WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "diag", seed=seed))
+        else:
+            wall = preset_wall(name, dims=dims)
+        layout = wall.layout
+        inv = invariant_algebras(wall.U, layout)
+        lbar, rbar = inv.Lbar, inv.Rbar
+        assert lbar.dim == inv.dim_Lbar and rbar.dim == inv.dim_Rbar
+        for alg in (lbar, rbar):
+            gram = np.einsum("iab,jab->ij", alg.basis.conj(), alg.basis)
+            assert np.max(np.abs(gram - np.eye(alg.dim))) < 1e-12
+        assert equals(extract_central_factor(lbar.space, layout), inv.A_C)
+        swapped_layout = dynamics._swapped_layout(layout)
+        swapped = OperatorSpace(dynamics._swap_edges(rbar.basis, layout), swapped_layout)
+        assert equals(extract_central_factor(swapped, swapped_layout), inv.B_C)
+        # each lift holds its own edge algebra in the right tensor slot
+        d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
+
+        def edge_ops(d):  # X, Z and -iY on a qubit
+            shift, clock = _clock_shift(d)
+            return shift, clock, shift @ clock
+
+        for p in edge_ops(d_L):
+            assert contains(lbar.space, kron(p, np.eye(d_C * d_R)))
+        for p in edge_ops(d_R):
+            assert contains(rbar.space, kron(np.eye(d_L * d_C), p))
+
+
+def _clock_shift(d):
+    """Two generators of the full algebra M_d."""
+    return [np.roll(np.eye(d), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(d) / d))]
+
 
 def _full_space_conserved(inv):
     """Oracle on the full space: the commutants of the lifted Lbar and Rbar
@@ -319,13 +366,10 @@ def _full_space_conserved(inv):
     layout = inv.layout
     d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
 
-    def clock_shift(d):  # two generators of the full algebra M_d
-        return [np.roll(np.eye(d), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(d) / d))]
-
-    lbar_gens = [kron(kron(g, np.eye(d_C)), np.eye(d_R)) for g in clock_shift(d_L)] + [
+    lbar_gens = [kron(kron(g, np.eye(d_C)), np.eye(d_R)) for g in _clock_shift(d_L)] + [
         kron(kron(np.eye(d_L), a), np.eye(d_R)) for a in inv.A_C.basis
     ]
-    rbar_gens = [kron(np.eye(d_L), kron(np.eye(d_C), g)) for g in clock_shift(d_R)] + [
+    rbar_gens = [kron(np.eye(d_L), kron(np.eye(d_C), g)) for g in _clock_shift(d_R)] + [
         kron(np.eye(d_L), kron(b, np.eye(d_R))) for b in inv.B_C.basis
     ]
     lbar = MatrixAlgebra(inv.Lbar.space, generators=np.asarray(lbar_gens))
