@@ -96,11 +96,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=()) -> _Parser:
+    """The top-level parser.  When ``argv`` starts with a subcommand name it
+    holds only that subcommand's parser; otherwise (no argv, a leading
+    option, an unknown name) it holds all of them, for the usage text and
+    the missing- or invalid-command errors."""
     p = _Parser(prog="wallkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, keys) in COMMANDS.items():
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
         sp = sub.add_parser(name)
+        keys = COMMANDS[name][1]
         sp.add_argument("--config")
         for key in ("seed",) + keys:
             flag = FLAGS[key]
@@ -149,7 +155,7 @@ def parse_config(argv) -> RunConfig:
     A subcommand accepts only the keys its handler reads, as flags or in
     the config file, and every merged value must have its flag's type and
     range."""
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser(argv).parse_args(argv)
     keys = ("seed",) + COMMANDS[ns.command][1]
     cfg = RunConfig(command=ns.command, **{k: f.default for k, f in FLAGS.items()})
     env_seed = os.environ.get("WALLKIT_SEED")
@@ -353,8 +359,7 @@ def _cmd_lightcone(cfg):
 
 
 def _cmd_invariants(cfg):
-    wall = _wall_from_config(cfg)
-    inv = dynamics.invariant_algebras(wall.U, wall.layout)
+    inv = _wall_from_config(cfg).invariants
     data = {
         "dimA": inv.A_C.dim,
         "dimB": inv.B_C.dim,
@@ -366,8 +371,7 @@ def _cmd_invariants(cfg):
 
 
 def _cmd_conserved(cfg):
-    wall = _wall_from_config(cfg)
-    inv = dynamics.invariant_algebras(wall.U, wall.layout)
+    inv = _wall_from_config(cfg).invariants
     cons = dynamics.conserved_algebra(inv, cfg.tol_rank)
     return {"dim_conserved": cons.dim}, ("json", cons.to_json())
 
@@ -389,8 +393,7 @@ def _cmd_gauge_seq(cfg):
 
 
 def _cmd_fragments(cfg):
-    wall = _wall_from_config(cfg)
-    inv = dynamics.invariant_algebras(wall.U, wall.layout)
+    inv = _wall_from_config(cfg).invariants
     frag = dynamics.fragment_decomposition(inv)
     return frag.summary(), None
 

@@ -356,11 +356,16 @@ class InvariantAlgebras:
         )
 
 
+class NotAWallError(ValueError):
+    """The unitary fails the wall check."""
+
+
 def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> InvariantAlgebras:
-    """Invariant algebras of a wall; raises ``ValueError`` on a non-wall."""
+    """Invariant algebras of a wall; raises ``NotAWallError`` (a
+    ``ValueError``) on a non-wall."""
     report = verify_wall(U, layout, tol)
     if not report.is_wall:
-        raise ValueError(f"not a wall: left={report.left}, right={report.right}")
+        raise NotAWallError(f"not a wall: left={report.left}, right={report.right}")
     # the theorem demands the central factors commute pairwise
     for x in report.A_C.basis:
         for y in report.B_C.basis:
@@ -486,11 +491,11 @@ def gauged_sequence(wall, gauges, rng=None, tol: float = RANK_TOL) -> GaugedSequ
     """Evolve the left-invariant algebra through a gauged wall sequence
     U~_tau = G_tau^dag U G_{tau-1} and report isomorphism signatures.
 
+    ``wall`` is a ``WallUnitary``, whose cached ``invariants`` give Lbar;
     ``gauges`` lists G_0 .. G_T; G_0 must preserve the Lbar span.
     """
     U, layout = np.asarray(wall.U, dtype=complex), wall.layout
-    inv = invariant_algebras(U, layout)
-    lbar = inv.Lbar
+    lbar = wall.invariants.Lbar
     G0 = np.asarray(gauges[0], dtype=complex)
     for x in lbar.basis:
         moved = G0 @ x @ dagger(G0)

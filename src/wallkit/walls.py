@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,13 @@ class WallUnitary:
     def trivial(self) -> bool:
         """A_C is 1 or all of M_C: an improper wall."""
         return self.A_C.dim in (1, self.layout.d_center ** 2)
+
+    @cached_property
+    def invariants(self) -> dynamics.InvariantAlgebras:
+        """The wall's invariant algebras, from one wall verification that
+        later callers reuse (so ``U`` must not change after the first
+        access); raises ``ValueError`` on a non-wall."""
+        return dynamics.invariant_algebras(self.U, self.layout)
 
 
 def assemble_wall(layout: SystemLayout, bs: BlockStructure, T_blocks, R_blocks, permutation=None) -> np.ndarray:
@@ -239,12 +247,11 @@ def synth_wall(spec: WallSpec, rng=None, verify: bool = True) -> WallUnitary:
 
 
 def _assert_wall(wall: WallUnitary):
-    report = dynamics.verify_wall(wall.U, wall.layout)
-    if not report.is_wall:
-        raise RuntimeError(
-            f"synthesized unitary failed the wall check: left={report.left}, "
-            f"right={report.right}"
-        )
+    """Verify the wall once; ``wall.invariants`` keeps the result."""
+    try:
+        wall.invariants
+    except dynamics.NotAWallError as exc:
+        raise RuntimeError(f"synthesized unitary failed the wall check: {exc}") from exc
 
 
 def brickwork_split(spec: WallSpec, rng=None, permutation_V=None, permutation_W=None):

@@ -1,6 +1,7 @@
 """CLI tests: summary schema, exit codes, config precedence, determinism,
 and artifact emission."""
 
+import argparse
 import importlib.util
 import json
 import re
@@ -12,7 +13,7 @@ import jsonschema
 import pytest
 
 from wallkit import cli
-from wallkit.cli import COMMANDS, FLAGS, parse_config, run
+from wallkit.cli import COMMANDS, FLAGS, UsageError, parse_config, run
 
 SCHEMA = json.loads(
     resources.files("wallkit.schemas").joinpath("summary.schema.json").read_text()
@@ -327,6 +328,17 @@ INVALID_CALLS = [
     "close --generators XI --out /nonexistent/x.json",  # an --out that cannot be opened
 ]
 
+INVALID_CONFIGS = [
+    ("lightcone", {"t_max": "5", "preset": "fswap"}),
+    ("lightcone", {"t_max": True, "preset": "fswap"}),
+    ("lightcone", {"t_max": None, "preset": "fswap"}),
+    ("verify", {"preset": "nope"}),
+    ("verify", {"dims": [2, "2", 2]}),
+    ("sff", {"samples": 1, "preset": "fswap"}),
+    ("scan", {"tol_support": "tiny"}),
+    ("measure", {"preset": "fswap", "rounds": 0}),
+]
+
 
 class TestInvalidInputs:
     @pytest.mark.parametrize("argv", INVALID_CALLS)
@@ -336,19 +348,7 @@ class TestInvalidInputs:
         assert "Traceback" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"]
 
-    @pytest.mark.parametrize(
-        "command, values",
-        [
-            ("lightcone", {"t_max": "5", "preset": "fswap"}),
-            ("lightcone", {"t_max": True, "preset": "fswap"}),
-            ("lightcone", {"t_max": None, "preset": "fswap"}),
-            ("verify", {"preset": "nope"}),
-            ("verify", {"dims": [2, "2", 2]}),
-            ("sff", {"samples": 1, "preset": "fswap"}),
-            ("scan", {"tol_support": "tiny"}),
-            ("measure", {"preset": "fswap", "rounds": 0}),
-        ],
-    )
+    @pytest.mark.parametrize("command, values", INVALID_CONFIGS)
     def test_config_values_checked_like_flags(self, command, values, capsys, tmp_path):
         cfgf = tmp_path / "c.json"
         cfgf.write_text(json.dumps(values))
@@ -392,3 +392,152 @@ class TestNoFullSpaceLift:
         )
         assert p["data"]["dimA"] == 2
         assert p["data"]["dim_Lbar"] == 128 and p["data"]["dim_Rbar"] == 128
+
+
+def _full_parser(argv=()):
+    """Oracle: the top-level parser with every subcommand's parser, whatever
+    ``argv`` is."""
+    p = cli._Parser(prog="wallkit", description=cli.__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, keys) in COMMANDS.items():
+        sp = sub.add_parser(name)
+        sp.add_argument("--config")
+        for key in ("seed",) + keys:
+            flag = FLAGS[key]
+            sp.add_argument(
+                _flag(key),
+                dest=key,
+                type=str if flag.kind == "ints" else flag.kind,
+                choices=flag.choices,
+            )
+    return p
+
+
+def _run_both(capsys, monkeypatch, argv):
+    """(exit, stdout, stderr) of ``run(argv)``, then the same with the
+    full-parser oracle; a ``SystemExit`` (from --help) is the exit."""
+    results = []
+    for build in (cli._build_parser, _full_parser):
+        monkeypatch.setattr(cli, "_build_parser", build)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        cap = capsys.readouterr()
+        results.append((code, cap.out, cap.err))
+    return results
+
+
+class TestParser:
+    def test_known_command_adds_one_subparser(self, monkeypatch):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        for command in COMMANDS:
+            added.clear()
+            assert parse_config([command, "--seed", "4"]).seed == 4
+            assert added == [command]
+        added.clear()
+        with pytest.raises(UsageError):
+            parse_config(["nope"])
+        assert added == list(COMMANDS)
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["--seed", "3"]])
+    def test_missing_or_unknown_command_unchanged(self, argv, capsys, monkeypatch):
+        (code, out, err), oracle = _run_both(capsys, monkeypatch, argv)
+        assert (code, out, err) == oracle
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        if argv:
+            assert "invalid choice" in error and all(c in error for c in COMMANDS)
+        else:
+            assert error == "the following arguments are required: command"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["conserved", "--help"]])
+    def test_help_unchanged(self, argv, capsys, monkeypatch):
+        (code, out, err), oracle = _run_both(capsys, monkeypatch, argv)
+        assert (code, out, err) == oracle
+        assert code == ("SystemExit", 0)
+        if argv[0] != "conserved":
+            assert "{" + ",".join(COMMANDS) + "}" in out
+
+    def test_workload_calls_parse_as_with_every_subparser(self, monkeypatch):
+        workloads = _load_workloads()
+        calls = {op.argv for w in workloads.WORKLOADS.values() for op in w.ops}
+        for argv in sorted(calls):
+            argv = [*argv, "--seed", "1"]
+            cfg = parse_config(argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_build_parser", _full_parser)
+                assert cfg == parse_config(argv), argv
+
+    @pytest.mark.parametrize("argv", INVALID_CALLS)
+    def test_invalid_call_errors_as_with_every_subparser(self, argv, capsys, monkeypatch):
+        mine, oracle = _run_both(capsys, monkeypatch, argv.split())
+        assert mine == oracle
+
+    @pytest.mark.parametrize("command, values", INVALID_CONFIGS)
+    def test_invalid_config_errors_as_with_every_subparser(
+        self, command, values, capsys, monkeypatch, tmp_path
+    ):
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps(values))
+        mine, oracle = _run_both(capsys, monkeypatch, [command, "--config", str(cfgf)])
+        assert mine == oracle
+
+
+WALL_CALLS = [["invariants"], ["conserved"], ["fragments"], ["gauge-seq", "--t-max", "2"]]
+WALL_SOURCES = [
+    ["--preset", "abelian-pair"],
+    ["--preset", "nonabelian-cnot"],  # built by synth_wall
+    ["--dims", "2,2,2", "--algebra", "diag"],
+]
+
+
+@pytest.mark.parametrize("source", WALL_SOURCES, ids=lambda a: "_".join(a))
+@pytest.mark.parametrize("call", WALL_CALLS, ids=lambda a: a[0])
+class TestOneVerification:
+    def test_one_verify_wall_per_call(self, call, source, capsys, monkeypatch):
+        closures = []
+        closure = cli.dynamics._directional_closure
+
+        def counted(*args, **kwargs):
+            closures.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(cli.dynamics, "_directional_closure", counted)
+        _summary(capsys, call + source)
+        assert len(closures) == 2  # the left and the right closure of one verify_wall
+
+    def test_no_verification_once_the_wall_is_built(self, call, source, capsys, monkeypatch):
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verified the wall a second time")
+
+        build = cli._wall_from_config
+
+        def build_then_forbid(cfg):
+            wall = build(cfg)
+            monkeypatch.setattr(cli.dynamics, "verify_wall", no_verify)
+            return wall
+
+        monkeypatch.setattr(cli, "_wall_from_config", build_then_forbid)
+        _summary(capsys, call + source)
+
+
+class TestBenchmarkOracle:
+    def test_every_workload_operation_passes(self, capsys):
+        workloads = _load_workloads()
+        expected = workloads.load_expected()
+        failures = []
+        for w in workloads.WORKLOADS.values():
+            for op, argv in w.cycle(1, 0):
+                rc = run(argv)
+                problem = workloads.check(expected, op, rc, capsys.readouterr().out)
+                if problem is not None:
+                    failures.append((w.name, argv, problem))
+        assert failures == []

@@ -8,7 +8,8 @@ from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import dagger, embed, haar_unitary, kron
 from wallkit.algebra import close_algebra, commutant, contains, equals
 from wallkit.blocks import decompose, isomorphism_signature
-from wallkit.dynamics import verify_wall
+from wallkit import walls
+from wallkit.dynamics import invariant_algebras, verify_wall
 from wallkit.walls import (
     PAULI,
     PRESET_NAMES,
@@ -208,6 +209,38 @@ class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_wall("no-such-wall")
+
+
+def _assert_same_invariants(wall):
+    fresh = invariant_algebras(wall.U, wall.layout)
+    assert np.array_equal(wall.invariants.A_C.basis, fresh.A_C.basis)
+    assert np.array_equal(wall.invariants.B_C.basis, fresh.B_C.basis)
+    assert wall.invariants.stabilization_time == fresh.stabilization_time
+
+
+class TestCachedInvariants:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_invariants_match_a_fresh_computation(self, name):
+        wall = preset_wall(name)
+        assert "invariants" in vars(wall)  # kept from the check at construction
+        _assert_same_invariants(wall)
+
+    def test_unverified_wall_computes_them_on_first_access(self):
+        spec = WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "pauli:XI,ZX", seed=9)
+        wall = synth_wall(spec, verify=False)
+        assert "invariants" not in vars(wall)
+        _assert_same_invariants(wall)
+
+    def test_construction_check_maps_only_the_non_wall(self):
+        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=4)
+        wall = synth_wall(spec, verify=False)
+        wall.U = haar_unitary(wall.layout.dim, SeededRng(5))
+        with pytest.raises(RuntimeError, match="failed the wall check"):
+            walls._assert_wall(wall)
+        wall = synth_wall(spec, verify=False)
+        wall.U = 2 * wall.U
+        with pytest.raises(ValueError, match="not unitary"):
+            walls._assert_wall(wall)
 
 
 class TestBrickwork:
