@@ -41,10 +41,6 @@ class OperatorSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def matrix_dim(self) -> int:
-        return self.layout.dim
-
     def project(self, O: np.ndarray) -> np.ndarray:
         return project_span(self.basis, O)
 
@@ -68,8 +64,6 @@ class MatrixAlgebra:
     """OperatorSpace that is unital and closed under products and adjoints."""
 
     space: OperatorSpace
-    unital: bool = True
-    adjoint_closed: bool = True
     generators: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -85,7 +79,7 @@ class MatrixAlgebra:
         return self.space.layout
 
     def to_json(self) -> dict:
-        return self.space.to_json() | {"unital": self.unital}
+        return self.space.to_json() | {"unital": True}
 
 
 def _pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,7 +160,7 @@ def intersect(a: OperatorSpace, b: OperatorSpace, tol: float = RANK_TOL) -> Oper
     """Intersection of spans via the stacked (1-P_a; 1-P_b) nullspace."""
     if a.layout.site_dims != b.layout.site_dims:
         raise ValueError("operator spaces live on different layouts")
-    d = a.matrix_dim
+    d = a.layout.dim
     eye = np.eye(d * d, dtype=complex)
     stacked = np.concatenate([eye - projector_onto(a.basis), eye - projector_onto(b.basis)])
     vecs = nullspace(stacked, tol)

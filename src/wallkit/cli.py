@@ -34,6 +34,10 @@ from .walls import (
 from . import dynamics, observables
 
 
+# arealaw checks at most this many random product states, whatever --samples says
+AREALAW_MAX_STATES = 20
+
+
 class UsageError(Exception):
     """Configuration or argument problem; maps to exit code 1."""
 
@@ -430,7 +434,7 @@ def _cmd_arealaw(cfg):
     wall = _wall_from_config(cfg)
     g = SeededRng(cfg.seed, 31)
     worst_rank, bound = 0, wall.A_C.dim
-    n_states = min(cfg.samples, 20)
+    n_states = min(cfg.samples, AREALAW_MAX_STATES)
     for k in range(n_states):
         psi0 = observables.random_product_state(wall.layout, g.stream(31000 + k))
         rep = observables.verify_area_law(wall, psi0, cfg.t_max)
@@ -471,14 +475,14 @@ def _cmd_measure(cfg):
 def _cmd_sff(cfg):
     if cfg.t_max < 1 or cfg.samples < 2:
         raise UsageError("sff needs --t-max >= 1 and --samples >= 2")
-    rng = SeededRng(cfg.seed, 51)
     if cfg.haar_dim is not None:
-        res = observables.sff_mc("haar", cfg.t_max, cfg.samples, rng, haar_dim=cfg.haar_dim)
+        blocks, d_L, d_R = [(1, 1)], cfg.haar_dim, 1
     else:
         # block-Haar ensemble over the wall's central algebra; no wall is built
         layout, A_C = _central_algebra_from_config(cfg)
-        spec = WallSpec(layout, central_algebra=list(A_C.basis))
-        res = observables.sff_mc(spec, cfg.t_max, cfg.samples, rng)
+        blocks = decompose(A_C, SeededRng(cfg.seed, 7)).blocks
+        d_L, d_R = layout.d_left, layout.d_right
+    res = observables.sff_mc(blocks, d_L, d_R, cfg.t_max, cfg.samples, SeededRng(cfg.seed, 51))
     dev = np.abs(res.K_mc[1:] - res.K_analytic[1:]) / np.maximum(res.stderr[1:], 1e-30)
     data = {
         "t_max": cfg.t_max,

@@ -12,9 +12,7 @@ import numpy as np
 from ._kernels import trace_powers
 from .layout import SeededRng, SystemLayout, as_generator
 from .linalg import dagger, haar_from_ginibre, hs_norm
-from .algebra import contains
-from .blocks import BlockStructure
-from .walls import WallSpec, resolve_central_algebra
+from .algebra import cluster_eigenvalues, commutant, contains
 
 SCHMIDT_RANK_TOL = 1e-8
 CLUSTER_TOL = 1e-9  # relative eigenvalue clustering for measurement outcomes
@@ -94,6 +92,20 @@ class AreaLawReport:
         )
 
 
+def _rank_trajectory(U, psi: PureState, cut: int, t_max: int, bound: int, rank_tol: float):
+    """Largest L|CR Schmidt rank of U^t psi over t = 0..t_max, and the
+    (t, rank) pairs above ``bound``."""
+    max_rank, violations = 0, []
+    for t in range(t_max + 1):
+        r = schmidt(psi, cut, rank_tol).rank
+        max_rank = max(max_rank, r)
+        if r > bound:
+            violations.append((t, r))
+        if t < t_max:
+            psi = evolve_state(U, psi, 1)
+    return max_rank, violations
+
+
 def verify_area_law(wall, psi0: PureState, t_max: int, rank_tol: float = SCHMIDT_RANK_TOL) -> AreaLawReport:
     """Check rank(U^t psi0) <= dim A_C across L|CR for a product psi0, plus the
     per-block refinement rank <= dim_D^2 for block-projected inputs."""
@@ -102,41 +114,21 @@ def verify_area_law(wall, psi0: PureState, t_max: int, rank_tol: float = SCHMIDT
     if schmidt(psi0, cut, rank_tol).rank != 1:
         raise ValueError("initial state must be a product across L|CR")
     bound = wall.A_C.dim
-    max_rank, violations = 0, []
-    psi = psi0
-    for t in range(t_max + 1):
-        r = schmidt(psi, cut, rank_tol).rank
-        max_rank = max(max_rank, r)
-        if r > bound:
-            violations.append((t, r))
-        if t < t_max:
-            psi = evolve_state(wall.U, psi, 1)
+    max_rank, violations = _rank_trajectory(wall.U, psi0, cut, t_max, bound, rank_tol)
     block_results = []
     d_L, d_R = layout.d_left, layout.d_right
-    for i, ((dD, dE), P) in enumerate(
+    for i, ((dD, _), P) in enumerate(
         zip(wall.block_structure.blocks, wall.block_structure.central_projectors)
     ):
         proj = np.kron(np.kron(np.eye(d_L), P), np.eye(d_R))
         amps = proj @ psi0.amplitudes
         weight = np.linalg.norm(amps)
-        if weight < 1e-8:
-            block_results.append(
-                {"block": i, "bound": dD * dD, "max_rank": 0, "violations": [],
-                 "weight": float(weight)}
-            )
-            continue
-        psi_b = PureState(amps / weight, layout)
-        b_bound = dD * dD
         b_max, b_viol = 0, []
-        for t in range(t_max + 1):
-            r = schmidt(psi_b, cut, rank_tol).rank
-            b_max = max(b_max, r)
-            if r > b_bound:
-                b_viol.append((t, r))
-            if t < t_max:
-                psi_b = evolve_state(wall.U, psi_b, 1)
+        if weight >= 1e-8:
+            psi_b = PureState(amps / weight, layout)
+            b_max, b_viol = _rank_trajectory(wall.U, psi_b, cut, t_max, dD * dD, rank_tol)
         block_results.append(
-            {"block": i, "bound": b_bound, "max_rank": b_max, "violations": b_viol,
+            {"block": i, "bound": dD * dD, "max_rank": b_max, "violations": b_viol,
              "weight": float(weight)}
         )
     return AreaLawReport(t_max, bound, max_rank, violations, block_results)
@@ -156,8 +148,6 @@ def measure(psi: PureState, M_C, rng, cluster_tol: float = CLUSTER_TOL) -> Measu
     Degenerate eigenvalues (relative cluster tolerance) project onto the full
     eigenspace; branches with probability below 1e-12 are excluded.
     """
-    from .algebra import cluster_eigenvalues
-
     M_C = np.asarray(M_C, dtype=complex)
     if hs_norm(M_C - dagger(M_C)) > 1e-10:
         raise ValueError("observable is not Hermitian")
@@ -198,8 +188,6 @@ class MeasurementRecord:
 
 def classify_observable(wall, M_C, tol: float = 1e-9) -> str:
     """Whether the observable lies in A_C, in its commutant, or in neither."""
-    from .algebra import commutant
-
     if contains(wall.A_C.space, M_C, tol):
         return "central"
     if contains(commutant(wall.A_C).space, M_C, tol):
@@ -246,13 +234,13 @@ class SFFResult:
     samples: int
 
     def to_csv_rows(self):
-        return list(zip(self.times, self.K_mc, self.stderr, self.K_analytic))
+        # Python ints for t: json cannot write numpy integers
+        return list(zip(self.times.tolist(), self.K_mc, self.stderr, self.K_analytic))
 
 
-def sff_analytic(bs_or_blocks, d_L: int, d_R: int, t: int) -> float:
+def sff_analytic(blocks, d_L: int, d_R: int, t: int) -> float:
     """K(t) = sum_i min(t, d_L dim_D_i) min(t, dim_E_i d_R) for t >= 1;
     K(0) is the exact trace identity (d_L d_C d_R)^2."""
-    blocks = bs_or_blocks.blocks if isinstance(bs_or_blocks, BlockStructure) else list(bs_or_blocks)
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0:
@@ -261,19 +249,12 @@ def sff_analytic(bs_or_blocks, d_L: int, d_R: int, t: int) -> float:
     return float(sum(min(t, d_L * dD) * min(t, dE * d_R) for dD, dE in blocks))
 
 
-def _block_dims_for_spec(spec: WallSpec, rng):
-    from .blocks import decompose
-
-    A_C = resolve_central_algebra(spec)
-    bs = decompose(A_C, rng)
-    return bs.blocks
-
-
-def sff_mc(spec, t_max: int, samples: int, rng, haar_dim: int | None = None) -> SFFResult:
-    """Monte-Carlo spectral form factor K(t) = E|tr U^t|^2.
-
-    ``spec`` is a WallSpec (block-Haar wall ensemble) or the string "haar"
-    with ``haar_dim``.  Traces are accumulated from block eigenvalues.
+def sff_mc(blocks, d_L: int, d_R: int, t_max: int, samples: int, rng: SeededRng) -> SFFResult:
+    """Monte-Carlo spectral form factor K(t) = E|tr U^t|^2 over the
+    block-Haar ensemble U = ⊕_i T^i (x) R^i, with T^i Haar on L (x) D_i and
+    R^i Haar on E_i (x) R for ``blocks`` = [(dim_D_i, dim_E_i), ...].  The
+    Haar ensemble on dimension n is ``sff_mc([(1, 1)], n, 1, ...)``.  Traces
+    are accumulated from block eigenvalues.
 
     Sample ``s`` draws the Ginibre normals of all its blocks, block by block,
     from its own stream ``1000 + s`` of ``rng``; QR, phase fix and eigenvalues
@@ -282,21 +263,12 @@ def sff_mc(spec, t_max: int, samples: int, rng, haar_dim: int | None = None) -> 
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    base = rng if isinstance(rng, SeededRng) else SeededRng(int(rng))
-    if spec == "haar":
-        if haar_dim is None:
-            raise ValueError("haar ensemble needs haar_dim")
-        blocks = [(1, 1)]
-        d_L, d_R = haar_dim, 1
-    else:
-        blocks = _block_dims_for_spec(spec, base.stream(7).generator())
-        d_L, d_R = spec.layout.d_left, spec.layout.d_right
     d = d_L * sum(dD * dE for dD, dE in blocks) * d_R
     sizes = []
     for dD, dE in blocks:
         sizes.extend([d_L * dD, dE * d_R])
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    per_sample = trace_powers(_block_eigvals(sizes, offsets, samples, base), offsets, t_max)
+    per_sample = trace_powers(_block_eigvals(sizes, offsets, samples, rng), offsets, t_max)
 
     times = np.arange(t_max + 1)
     K = np.empty(t_max + 1)

@@ -46,29 +46,6 @@ class WallSpec:
     T_blocks: list | None = None  # used when block_mode == "given"
     R_blocks: list | None = None
 
-    def to_json(self) -> dict:
-        alg = self.central_algebra
-        if isinstance(alg, str):
-            alg_json = alg
-        else:
-            alg_json = {
-                "matrices": [
-                    np.stack([np.asarray(m).real, np.asarray(m).imag], axis=-1).tolist()
-                    for m in alg
-                ]
-            }
-        return {
-            "dims": {
-                "L": self.layout.d_left,
-                "C": list(self.layout.center_dims),
-                "R": self.layout.d_right,
-            },
-            "algebra": alg_json,
-            "block_mode": self.block_mode,
-            "permutation": self.permutation,
-            "seed": self.seed,
-        }
-
 
 def resolve_central_algebra(spec: WallSpec, tol: float = RANK_TOL) -> MatrixAlgebra:
     """Build the central algebra named (or listed) by the spec, on C."""

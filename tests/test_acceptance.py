@@ -32,6 +32,7 @@ from wallkit.walls import (
     conditional_unitary,
     pauli_string,
     preset_wall,
+    resolve_central_algebra,
     synth_wall,
 )
 
@@ -191,21 +192,29 @@ def test_criterion_6_area_law():
     )
 
 
+def _central_blocks(spec, seed):
+    return decompose(resolve_central_algebra(spec), SeededRng(seed, 7)).blocks
+
+
 def test_criterion_7_sff_quantitative():
     t0 = time.monotonic()
     problems = []
     lay = SystemLayout.tripartite(2, (2,), 2)
-    res = sff_mc(WallSpec(lay, "diag"), t_max=8, samples=4000, rng=SeededRng(940))
+    res = sff_mc(
+        _central_blocks(WallSpec(lay, "diag"), 940), 2, 2,
+        t_max=8, samples=4000, rng=SeededRng(940),
+    )
     for t, expect in [(1, 2.0), (2, 8.0)] + [(t, 8.0) for t in range(3, 9)]:
         if abs(res.K_mc[t] - expect) > 4 * res.stderr[t]:
             problems.append(f"diag K({t}) = {res.K_mc[t]:.3f} vs {expect}")
-    res_h = sff_mc("haar", t_max=8, samples=4000, rng=SeededRng(941), haar_dim=4)
+    res_h = sff_mc([(1, 1)], 4, 1, t_max=8, samples=4000, rng=SeededRng(941))
     for t in range(1, 9):
         if abs(res_h.K_mc[t] - min(t, 4)) > 4 * res_h.stderr[t]:
             problems.append(f"haar K({t}) = {res_h.K_mc[t]:.3f} vs {min(t, 4)}")
     lay2 = SystemLayout.tripartite(2, (2, 2), 2)
     res_b = sff_mc(
-        WallSpec(lay2, "pauli:XI,ZX"), t_max=8, samples=4000, rng=SeededRng(942)
+        _central_blocks(WallSpec(lay2, "pauli:XI,ZX"), 942), 2, 2,
+        t_max=8, samples=4000, rng=SeededRng(942),
     )
     for t in (1, 2, 4, 8):
         expect = min(t, 4) * min(t, 4)

@@ -10,10 +10,13 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from wallkit import cli
+from wallkit import blocks, cli, walls
 from wallkit.cli import COMMANDS, FLAGS, UsageError, parse_config, run
+from wallkit.layout import SeededRng
+from wallkit.observables import sff_mc
 
 SCHEMA = json.loads(
     resources.files("wallkit.schemas").joinpath("summary.schema.json").read_text()
@@ -115,6 +118,17 @@ class TestArtifacts:
         assert len(lines) == 6
         row0 = lines[1].split(",")
         assert float(row0[1]) == 64.0  # K(0) = d^2 exactly
+
+    def test_sff_json_holds_the_csv_rows(self, capsys, tmp_path):
+        argv = ["sff", "--preset", "abelian-pair", "--t-max", "3", "--samples", "50"]
+        _summary(capsys, argv + ["--out", str(tmp_path / "sff.csv")])
+        _summary(capsys, argv + ["--format", "json", "--out", str(tmp_path / "sff.json")])
+        lines = (tmp_path / "sff.csv").read_text().strip().splitlines()
+        payload = json.loads((tmp_path / "sff.json").read_text())
+        assert payload["header"] == lines[0].split(",")
+        assert [[str(v) for v in row] for row in payload["rows"]] == [
+            ln.split(",") for ln in lines[1:]
+        ]
 
     def test_scan_csv_and_detection(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
@@ -377,6 +391,52 @@ class TestSffWithoutWall:
         ):
             p = _summary(capsys, argv)
             assert p["data"]["samples"] == 50
+
+
+class TestSffOneClosure:
+    def test_one_closure_and_one_decomposition(self, capsys, monkeypatch):
+        calls = {"close_algebra": 0, "decompose": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # every name the sff path can reach either function through
+        for module in (walls, cli):
+            counted(module, "close_algebra")
+        for module in (blocks, cli):
+            counted(module, "decompose")
+        _summary(capsys, ["sff", "--preset", "swap-zz", "--samples", "20", "--t-max", "3"])
+        assert calls == {"close_algebra": 1, "decompose": 1}
+
+    def test_haar_dim_is_the_one_block_ensemble(self, capsys, tmp_path):
+        out = tmp_path / "sff.csv"
+        p = _summary(
+            capsys,
+            ["sff", "--haar-dim", "4", "--seed", "3", "--samples", "300", "--t-max", "6",
+             "--out", str(out)],
+        )
+        res = sff_mc([(1, 1)], 4, 1, 6, 300, SeededRng(3, 51))
+        dev = np.abs(res.K_mc[1:] - res.K_analytic[1:]) / np.maximum(res.stderr[1:], 1e-30)
+        assert p["data"] == {"t_max": 6, "samples": 300, "max_sigma_deviation": float(dev.max())}
+        expected = tmp_path / "expected.csv"
+        cli._write_csv(expected, ("t", "K_mc", "stderr", "K_analytic"), res.to_csv_rows())
+        assert out.read_bytes() == expected.read_bytes()
+
+
+class TestArealawStateCap:
+    @pytest.mark.parametrize("samples,states", [(100, 20), (3, 3)])
+    def test_states_reported(self, samples, states, capsys):
+        p = _summary(
+            capsys,
+            ["arealaw", "--preset", "abelian-pair", "--t-max", "2", "--samples", str(samples)],
+        )
+        assert p["data"]["states"] == states
 
 
 class TestNoFullSpaceLift:

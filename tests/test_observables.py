@@ -10,7 +10,6 @@ from wallkit.linalg import haar_unitary, kron
 from wallkit.observables import (
     SFF_CHUNK_ELEMS,
     PureState,
-    _block_dims_for_spec,
     classify_observable,
     evolve_state,
     measure,
@@ -21,7 +20,15 @@ from wallkit.observables import (
     sff_mc,
     verify_area_law,
 )
-from wallkit.walls import PAULI, WallSpec, pauli_string, preset_wall, synth_wall
+from wallkit.blocks import decompose
+from wallkit.walls import (
+    PAULI,
+    WallSpec,
+    pauli_string,
+    preset_wall,
+    resolve_central_algebra,
+    synth_wall,
+)
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 
@@ -214,16 +221,22 @@ def _within(res, t, sigmas=4.0, floor=0.02):
     return lo <= res.K_analytic[t] <= hi
 
 
+def _diag_blocks(seed):
+    """Blocks of the diag central algebra on one qubit, decomposed with stream
+    7 of ``seed``."""
+    spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag")
+    return decompose(resolve_central_algebra(spec), SeededRng(seed, 7)).blocks
+
+
 class TestSFFMonteCarlo:
     def test_diag_wall_matches_prediction(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag")
-        res = sff_mc(spec, t_max=8, samples=3000, rng=SeededRng(24))
+        res = sff_mc(_diag_blocks(24), 2, 2, t_max=8, samples=3000, rng=SeededRng(24))
         assert res.K_mc[0] == 64.0 and res.stderr[0] == 0.0
         for t in range(1, 9):
             assert _within(res, t), (t, res.K_mc[t], res.K_analytic[t])
 
     def test_haar_ensemble_ramp(self):
-        res = sff_mc("haar", t_max=8, samples=3000, rng=SeededRng(25), haar_dim=4)
+        res = sff_mc([(1, 1)], 4, 1, t_max=8, samples=3000, rng=SeededRng(25))
         for t in range(1, 9):
             assert _within(res, t)
 
@@ -248,11 +261,10 @@ class TestSFFMonteCarlo:
     def test_batched_matches_per_sample_loop(self, ensemble):
         # reference: one haar_unitary per block, then eigvals, sample by sample
         if ensemble == "haar":
-            spec, blocks, d_L, d_R = "haar", [(1, 1)], 4, 1
+            blocks, d_L, d_R = [(1, 1)], 4, 1
         else:
             wall = preset_wall(ensemble)
-            spec = WallSpec(wall.layout, central_algebra=list(wall.A_C.basis), seed=0)
-            blocks = _block_dims_for_spec(spec, SeededRng(29).stream(7).generator())
+            blocks = wall.block_structure.blocks
             d_L, d_R = wall.layout.d_left, wall.layout.d_right
         sizes = [n for dD, dE in blocks for n in (d_L * dD, dE * d_R)]
         assert len(set(sizes)) > 1
@@ -267,14 +279,12 @@ class TestSFFMonteCarlo:
                 eigs[s, start : start + n] = np.linalg.eigvals(haar_unitary(n, g))
         per_sample = trace_powers(eigs, offsets, 12)
 
-        haar_dim = d_L if ensemble == "haar" else None
-        res = sff_mc(spec, t_max=12, samples=samples, rng=SeededRng(29), haar_dim=haar_dim)
+        res = sff_mc(blocks, d_L, d_R, t_max=12, samples=samples, rng=SeededRng(29))
         assert np.array_equal(res.K_mc[1:], per_sample.mean(axis=0))
         assert np.array_equal(
             res.stderr[1:], per_sample.std(axis=0, ddof=1) / np.sqrt(samples)
         )
 
     def test_sample_floor(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag")
         with pytest.raises(ValueError):
-            sff_mc(spec, t_max=2, samples=1, rng=SeededRng(28))
+            sff_mc(_diag_blocks(28), 2, 2, t_max=2, samples=1, rng=SeededRng(28))

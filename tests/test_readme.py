@@ -1,19 +1,36 @@
-"""The README's quick-start example runs and prints what it says."""
+"""The README's examples run and give what the README says."""
 
+import json
 import re
 from pathlib import Path
+
+from wallkit.cli import run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _quick_start() -> str:
+def _example(heading: str) -> str:
     text = README.read_text()
-    section = text[text.index("Quick start") :]
+    section = text[text.index(heading) :]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
 def test_quick_start_runs(capsys):
-    exec(compile(_quick_start(), str(README), "exec"), {})
+    exec(compile(_example("Quick start"), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("{'left': True, 'right': True")
     assert lines[1] == "1"
+
+
+def test_sff_example_is_what_the_cli_runs(tmp_path, capsys):
+    ns = {}
+    exec(compile(_example("## Spectral form factor"), str(README), "exec"), ns)
+    assert ns["blocks"] == [(1, 1), (1, 1)]
+    out = tmp_path / "sff.json"
+    argv = ["sff", "--preset", "abelian-pair", "--t-max", "16", "--samples", "4000",
+            "--format", "json", "--out", str(out)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    assert [r[1] for r in rows] == list(ns["res"].K_mc)
+    assert [r[3] for r in rows] == list(ns["res"].K_analytic)

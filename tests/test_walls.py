@@ -144,12 +144,6 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             recover_blocks(haar_unitary(8, SeededRng(12)), lay, bs)
 
-    def test_spec_json(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=3)
-        data = spec.to_json()
-        assert data["dims"] == {"L": 2, "C": [2], "R": 2}
-        assert data["algebra"] == "diag" and data["seed"] == 3
-
 
 class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
