@@ -28,15 +28,12 @@ from .algebra import (
     equals,
     extract_central_factor,
     intersect,
-    is_abelian,
 )
 from .blocks import BlockStructure, decompose, isomorphism_signature, reconstruct
 from .walls import (
     WallSpec,
     WallUnitary,
-    brickwork_split,
     conditional_unitary,
-    normaliser_sample,
     pauli_string,
     preset_wall,
     synth_wall,
@@ -45,7 +42,6 @@ from .dynamics import (
     InvariantAlgebras,
     LightConeProfile,
     WallReport,
-    commuting_ops,
     conserved_algebra,
     evolve_op,
     fragment_decomposition,

@@ -188,29 +188,6 @@ def equals(a, b, tol: float = 1e-8) -> bool:
     )
 
 
-def is_abelian(alg: MatrixAlgebra, tol: float = ZERO_TOL) -> bool:
-    b = alg.basis
-    c = np.einsum("iab,jbc->ijac", b, b) - np.einsum("jab,ibc->ijac", b, b)
-    return float(np.max(np.abs(c))) < tol
-
-
-def abelian_projector_basis(alg: MatrixAlgebra, rng, cluster_tol: float = 1e-7) -> np.ndarray:
-    """Mutually orthogonal projectors spanning an Abelian algebra, from the
-    joint eigenspaces of a generic Hermitian element."""
-    from .linalg import random_hermitian_in_span
-
-    if not is_abelian(alg):
-        raise ValueError("algebra is not Abelian")
-    h = random_hermitian_in_span(alg.basis, rng)
-    w, v = np.linalg.eigh(h)
-    groups = cluster_eigenvalues(w, cluster_tol)
-    projs = []
-    for idx in groups:
-        cols = v[:, idx]
-        projs.append(cols @ dagger(cols))
-    return np.asarray(projs)
-
-
 def cluster_eigenvalues(w: np.ndarray, rel_tol: float = 1e-7) -> list[np.ndarray]:
     """Group sorted real eigenvalues into clusters separated by relative gaps."""
     w = np.asarray(w, dtype=float)

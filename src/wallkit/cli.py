@@ -219,9 +219,10 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    # encode first: a payload json cannot encode leaves no file behind
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _algebra_from_config(cfg: RunConfig):

@@ -8,14 +8,13 @@ from math import prod
 
 import numpy as np
 
-from .layout import SeededRng, SystemLayout, as_generator
+from .layout import SystemLayout, as_generator
 from .linalg import (
     RANK_TOL,
     ZERO_TOL,
     dagger,
     embed,
     hs_norm,
-    nullspace,
     orthonormal_basis,
     partial_trace,
 )
@@ -24,7 +23,6 @@ from .algebra import (
     OperatorSpace,
     close_algebra,
     commutant,
-    equals,
     intersect,
 )
 from .blocks import decompose, isomorphism_signature
@@ -397,87 +395,6 @@ def conserved_algebra(inv: InvariantAlgebras, tol: float = RANK_TOL) -> MatrixAl
             f"(residual {residual:.2e}; numerical failure)"
         )
     return MatrixAlgebra(OperatorSpace(joint.basis, SystemLayout(inv.layout.center_dims)))
-
-
-@dataclass
-class CommutingOpsReport:
-    algebra: MatrixAlgebra  # direct computation on C
-    predicted_dim: int | None
-    match: bool | None
-    residual: float | None
-    skipped_reason: str | None = None  # why the cross-check did not run
-
-
-def commuting_ops(U, layout: SystemLayout, tol: float = RANK_TOL) -> CommutingOpsReport:
-    """C-supported operators commuting with U itself.
-
-    Direct route: kernel of x -> [1 x x x 1, U].  Cross-check (when the wall
-    block data is recoverable): direct sum over blocks of the commutants of
-    the algebras generated by the Schmidt vectors of T_i (on D) and R_i (on E).
-    When the cross-check cannot run, ``skipped_reason`` says why.
-    """
-    from .walls import recover_blocks  # walls imports this module
-
-    U = _check_unitary(U, layout.dim)
-    d_C = layout.d_center
-    cols = []
-    for i in range(d_C):
-        for j in range(d_C):
-            u = np.zeros((d_C, d_C))
-            u[i, j] = 1.0
-            lifted = np.kron(
-                np.kron(np.eye(layout.d_left), u), np.eye(layout.d_right)
-            )
-            cols.append((lifted @ U - U @ lifted).ravel())
-    M = np.asarray(cols).T
-    kern = nullspace(M, tol)
-    mats = kern.T.reshape(-1, d_C, d_C)
-    basis = orthonormal_basis(mats, tol)
-    direct = MatrixAlgebra(OperatorSpace(basis, SystemLayout(layout.center_dims)))
-    report = CommutingOpsReport(direct, None, None, None)
-
-    wall = _verify_wall(U, layout, ESCAPE_TOL)
-    if not wall.is_wall:
-        report.skipped_reason = f"not a wall: left={wall.left}, right={wall.right}"
-        return report
-    try:
-        bs = decompose(wall.A_C, SeededRng(0, 977))
-        T_blocks, R_blocks, perm = recover_blocks(U, layout, bs)
-    except ValueError as exc:  # the block frame does not split U
-        report.skipped_reason = f"block recovery failed: {exc}"
-        return report
-    if perm != list(range(len(bs.blocks))):
-        report.skipped_reason = f"blocks are permuted ({perm}); no prediction"
-        return report
-    pred = _predicted_commuting_basis(bs, T_blocks, R_blocks, layout, tol)
-    pred_space = OperatorSpace(pred, SystemLayout(layout.center_dims))
-    report.predicted_dim = len(pred)
-    report.match = equals(direct.space, pred_space)
-    report.residual = max(
-        (hs_norm(x - pred_space.project(x)) for x in direct.basis), default=0.0
-    )
-    return report
-
-
-def _predicted_commuting_basis(bs, T_blocks, R_blocks, layout, tol):
-    """Basis of ⊕_i Comm(T-Schmidt algebra on D_i) x Comm(R-Schmidt on E_i),
-    lifted back through the block frame V."""
-    from .walls import schmidt_factor_algebras
-
-    d_C = layout.d_center
-    mats = []
-    for off, (dD, dE), T, R in zip(
-        bs.block_offsets(), bs.blocks, T_blocks, R_blocks
-    ):
-        commT, commR = schmidt_factor_algebras(
-            T, R, layout.d_left, layout.d_right, dD, dE, tol
-        )
-        for x in commT.basis:
-            for y in commR.basis:
-                full = np.zeros((d_C, d_C), dtype=complex)
-                full[off : off + dD * dE, off : off + dD * dE] = np.kron(x, y)
-                mats.append(bs.V @ full @ dagger(bs.V))
-    return orthonormal_basis(np.asarray(mats), tol)
 
 
 @dataclass

@@ -1,6 +1,5 @@
-"""Wall-unitary synthesis: random walls over a block structure, brickwork
-two-gate factorizations, conditional unitaries, the catalogue presets, and
-normaliser sampling."""
+"""Wall-unitary synthesis: random walls over a block structure, conditional
+unitaries, and the catalogue presets."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .layout import SeededRng, SystemLayout, as_generator
 from .linalg import RANK_TOL, dagger, embed, haar_unitary, hs_norm
-from .algebra import MatrixAlgebra, close_algebra, commutant
+from .algebra import MatrixAlgebra, close_algebra, equals
 from .blocks import BlockStructure, decompose
 from . import dynamics
 
@@ -40,11 +39,8 @@ class WallSpec:
 
     layout: SystemLayout
     central_algebra: object = "diag"  # "diag" | "full" | "pauli:XI,ZX" | matrices
-    block_mode: str = "haar"
     permutation: list[int] | None = None
     seed: int = 0
-    T_blocks: list | None = None  # used when block_mode == "given"
-    R_blocks: list | None = None
 
 
 def resolve_central_algebra(spec: WallSpec, tol: float = RANK_TOL) -> MatrixAlgebra:
@@ -82,9 +78,6 @@ class WallUnitary:
     layout: SystemLayout
     A_C: MatrixAlgebra
     block_structure: BlockStructure
-    T_blocks: list
-    R_blocks: list
-    permutation: list[int]
     name: str | None = None
 
     @property
@@ -130,94 +123,21 @@ def assemble_wall(layout: SystemLayout, bs: BlockStructure, T_blocks, R_blocks, 
     return W @ U_frame @ dagger(W)
 
 
-def recover_blocks(U, layout: SystemLayout, bs: BlockStructure, tol: float = 1e-8):
-    """Invert the wall structure: read T^i, R^i and the block permutation off
-    a wall unitary in the frame of its central block structure."""
-    d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
-    W = np.kron(np.kron(np.eye(d_L), bs.V), np.eye(d_R))
-    Uf = (dagger(W) @ U @ W).reshape(d_L, d_C, d_R, d_L, d_C, d_R)
-    offs = bs.block_offsets()
-    T_blocks, R_blocks, perm = [], [], []
-    for j, (dD, dE) in enumerate(bs.blocks):
-        m = dD * dE
-        target = None
-        for i, (dD2, dE2) in enumerate(bs.blocks):
-            if (dD2, dE2) != (dD, dE):
-                continue
-            B = Uf[:, offs[i] : offs[i] + m, :, :, offs[j] : offs[j] + m, :]
-            if np.linalg.norm(B) > 1e-6:
-                target = i
-                break
-        if target is None:
-            raise ValueError("no target block found; input is not in wall form")
-        B = Uf[:, offs[target] : offs[target] + m, :, :, offs[j] : offs[j] + m, :]
-        # split B = T (x) R across (L, D) | (E, R) by a rank-1 operator-Schmidt cut
-        M = B.reshape(d_L, dD, dE, d_R, d_L, dD, dE, d_R)
-        M = M.transpose(0, 1, 4, 5, 2, 3, 6, 7).reshape(
-            (d_L * dD) ** 2, (dE * d_R) ** 2
-        )
-        u, s, vh = np.linalg.svd(M)
-        if s.size > 1 and s[1] > tol * s[0]:
-            raise ValueError("block is not a tensor product; not a wall frame")
-        T = (np.sqrt(s[0]) * u[:, 0]).reshape(d_L * dD, d_L * dD)
-        R = (np.sqrt(s[0]) * vh[0]).reshape(dE * d_R, dE * d_R)
-        # normalize the scalar split so both factors are unitary
-        scale = np.sqrt(d_L * dD) / np.linalg.norm(T)
-        T, R = T * scale, R / scale
-        T_blocks.append(T)
-        R_blocks.append(R)
-        perm.append(target)
-    # report in source order: perm[j] = slot fed by block j
-    if sorted(perm) != list(range(bs.n_blocks)):
-        raise ValueError("recovered block wiring is not a permutation")
-    recon = assemble_wall(layout, bs, T_blocks, R_blocks, perm)
-    if np.linalg.norm(recon - U) > tol * np.sqrt(layout.dim):
-        raise ValueError("block recovery failed to reproduce the unitary")
-    return T_blocks, R_blocks, perm
-
-
-def schmidt_factor_algebras(T, R, d_L, d_R, dD, dE, tol: float = RANK_TOL):
-    """Commutants of the algebras generated by the operator-Schmidt vectors of
-    T (on the D side) and R (on the E side)."""
-    M = np.asarray(T).reshape(d_L, dD, d_L, dD).transpose(0, 2, 1, 3).reshape(
-        d_L * d_L, dD * dD
-    )
-    _, s, vh = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > tol * s[0]))
-    gensT = vh[:r].reshape(r, dD, dD)
-    algT = close_algebra(list(gensT), SystemLayout((dD,)), tol)
-    N = np.asarray(R).reshape(dE, d_R, dE, d_R).transpose(0, 2, 1, 3).reshape(
-        dE * dE, d_R * d_R
-    )
-    u, s2, _ = np.linalg.svd(N, full_matrices=False)
-    r2 = int(np.sum(s2 > tol * s2[0]))
-    gensR = u[:, :r2].T.reshape(r2, dE, dE)
-    algR = close_algebra(list(gensR), SystemLayout((dE,)), tol)
-    return commutant(algT), commutant(algR)
-
-
 def synth_wall(spec: WallSpec, rng=None, verify: bool = True) -> WallUnitary:
     """Synthesize a wall over the spec's central algebra.
 
-    Haar mode draws T^i ~ Haar(d_L dim_D_i) and R^i ~ Haar(dim_E_i d_R);
-    "given" mode takes the spec's blocks.  The result is wall-verified.
+    Draws T^i ~ Haar(d_L dim_D_i) and R^i ~ Haar(dim_E_i d_R); the result is
+    wall-verified unless ``verify`` is false.
     """
     base = SeededRng(spec.seed) if rng is None else rng
     g = as_generator(base)
     layout = spec.layout
     A_C = resolve_central_algebra(spec)
     bs = decompose(A_C, g)
-    if spec.block_mode == "haar":
-        T_blocks = [haar_unitary(layout.d_left * dD, g) for dD, _ in bs.blocks]
-        R_blocks = [haar_unitary(dE * layout.d_right, g) for _, dE in bs.blocks]
-    elif spec.block_mode == "given":
-        T_blocks = [np.asarray(t, dtype=complex) for t in spec.T_blocks]
-        R_blocks = [np.asarray(r, dtype=complex) for r in spec.R_blocks]
-    else:
-        raise ValueError(f"unknown block mode {spec.block_mode!r}")
+    T_blocks = [haar_unitary(layout.d_left * dD, g) for dD, _ in bs.blocks]
+    R_blocks = [haar_unitary(dE * layout.d_right, g) for _, dE in bs.blocks]
     U = assemble_wall(layout, bs, T_blocks, R_blocks, spec.permutation)
-    perm = list(spec.permutation) if spec.permutation else list(range(bs.n_blocks))
-    wall = WallUnitary(U, layout, A_C, bs, T_blocks, R_blocks, perm)
+    wall = WallUnitary(U, layout, A_C, bs)
     if verify:
         _assert_wall(wall)
     return wall
@@ -229,36 +149,6 @@ def _assert_wall(wall: WallUnitary):
         wall.invariants
     except dynamics.NotAWallError as exc:
         raise RuntimeError(f"synthesized unitary failed the wall check: {exc}") from exc
-
-
-def brickwork_split(spec: WallSpec, rng=None, permutation_V=None, permutation_W=None):
-    """Two-gate factorization U = W_CR V_LC of a wall over the spec's algebra.
-
-    In the block frame, V_LC = ⊕ T~^i x r^i x 1_R and W_CR = ⊕ 1_L x t^i x R~^i
-    with independent block permutations allowed on each gate.
-    """
-    base = SeededRng(spec.seed) if rng is None else rng
-    g = as_generator(base)
-    layout = spec.layout
-    d_L, d_R = layout.d_left, layout.d_right
-    A_C = resolve_central_algebra(spec)
-    bs = decompose(A_C, g)
-    Tt = [haar_unitary(d_L * dD, g) for dD, _ in bs.blocks]
-    r_small = [haar_unitary(dE, g) for _, dE in bs.blocks]
-    t_small = [haar_unitary(dD, g) for dD, _ in bs.blocks]
-    Rt = [haar_unitary(dE * d_R, g) for _, dE in bs.blocks]
-    V_LC = assemble_wall(
-        layout, bs, Tt, [np.kron(r, np.eye(d_R)) for r in r_small], permutation_V
-    )
-    W_CR = assemble_wall(
-        layout, bs,
-        [np.kron(np.eye(d_L), t) for t in t_small], Rt, permutation_W,
-    )
-    U = W_CR @ V_LC
-    T_blocks, R_blocks, perm = recover_blocks(U, layout, bs)
-    wall = WallUnitary(U, layout, A_C, bs, T_blocks, R_blocks, perm)
-    _assert_wall(wall)
-    return V_LC, W_CR, wall
 
 
 def conditional_unitary(eigenbasis, branches, control_first: bool = False) -> np.ndarray:
@@ -384,9 +274,10 @@ def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
     """Catalogue walls on qubit-scale systems.
 
     Each preset fixes a concrete wiring of the pictured gates; all presets
-    are wall-verified at construction time.  ``dims`` = (d_L, d_R) overrides
-    the edge dimensions where the construction generalizes (all but
-    ``fswap``); the central region is fixed per preset.
+    are wall-verified at construction time, and the A_C the table declares
+    must be the wall's invariant A_C.  ``dims`` = (d_L, d_R) overrides the
+    edge dimensions where the construction generalizes (all but ``fswap``);
+    the central region is fixed per preset.
     """
     preset, layout = _preset_layout(name, dims)
     if preset.build is None:
@@ -396,36 +287,13 @@ def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
         rng = SeededRng(seed, 101)
         U = preset.build(preset, layout, rng.generator())
         A_C = preset.central_algebra()
-        bs = decompose(A_C, rng)
-        T_blocks, R_blocks, perm = recover_blocks(U, layout, bs)
-        wall = WallUnitary(U, layout, A_C, bs, T_blocks, R_blocks, perm)
+        wall = WallUnitary(U, layout, A_C, decompose(A_C, rng))
         _assert_wall(wall)
+    if not equals(wall.A_C, wall.invariants.A_C):
+        raise RuntimeError(
+            f"{name} preset failed the wall check: its declared A_C (dim "
+            f"{wall.A_C.dim}) is not the wall's invariant A_C (dim {wall.invariants.A_C.dim})"
+        )
     wall.name = name
     return wall
 
-
-def normaliser_sample(alg: MatrixAlgebra, rng, bs: BlockStructure | None = None) -> np.ndarray:
-    """Random element of the normaliser group of the algebra: a product of an
-    inner automorphism, a commutant unitary, and a permutation of equivalent
-    blocks, assembled in the block frame."""
-    g = as_generator(rng)
-    if bs is None:
-        bs = decompose(alg, g)
-    d = alg.layout.dim
-    offs = bs.block_offsets()
-    # random permutation within groups of equal-(dD, dE) blocks
-    perm = list(range(bs.n_blocks))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, b in enumerate(bs.blocks):
-        groups.setdefault(b, []).append(i)
-    for idxs in groups.values():
-        shuffled = list(g.permutation(idxs))
-        for i, j in zip(idxs, shuffled):
-            perm[i] = j
-    frame = np.zeros((d, d), dtype=complex)
-    for i, (dD, dE) in enumerate(bs.blocks):
-        m = dD * dE
-        u = haar_unitary(dD, g)  # inner part
-        w = haar_unitary(dE, g)  # commutant part
-        frame[offs[perm[i]] : offs[perm[i]] + m, offs[i] : offs[i] + m] = np.kron(u, w)
-    return bs.V @ frame @ dagger(bs.V)

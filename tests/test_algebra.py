@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wallkit.layout import SeededRng, SystemLayout
+from wallkit.layout import SystemLayout
 from wallkit.linalg import kron, orthonormal_basis
 from wallkit.algebra import (
-    MatrixAlgebra,
     OperatorSpace,
-    abelian_projector_basis,
     center,
     close_algebra,
     commutant,
@@ -18,7 +16,6 @@ from wallkit.algebra import (
     equals,
     extract_central_factor,
     intersect,
-    is_abelian,
 )
 from wallkit.walls import PAULI, pauli_string
 
@@ -187,28 +184,6 @@ class TestSetAlgebra:
             {"layout": alg.layout.to_json(), "basis": alg.space.to_json()["basis"]}
         )
         assert equals(alg.space, back)
-
-
-class TestAbelian:
-    def test_is_abelian(self):
-        assert is_abelian(close_algebra([Z], L1))
-        assert not is_abelian(close_algebra([X, Z], L1))
-
-    def test_projector_basis(self):
-        lay = SystemLayout((4,))
-        alg = close_algebra([np.diag([0.0, 1, 2, 3])], lay)
-        projs = abelian_projector_basis(alg, SeededRng(5))
-        assert len(projs) == 4
-        total = np.sum(projs, axis=0)
-        assert np.allclose(total, np.eye(4))
-        for i, p in enumerate(projs):
-            assert np.allclose(p @ p, p)
-            for q in projs[i + 1 :]:
-                assert np.max(np.abs(p @ q)) < 1e-10
-
-    def test_projector_basis_rejects_nonabelian(self):
-        with pytest.raises(ValueError):
-            abelian_projector_basis(close_algebra([X, Z], L1), SeededRng(0))
 
 
 class TestCentralFactorExtraction:

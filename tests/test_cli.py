@@ -140,6 +140,21 @@ class TestArtifacts:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "start,width,left,right"
 
+    def test_unencodable_artifact_writes_nothing(self, tmp_path, monkeypatch):
+        def bad_close(cfg):
+            return {"dim": 1}, ("json", {"a": [1, 2], "b": object()})
+
+        monkeypatch.setitem(COMMANDS, "close", (bad_close, COMMANDS["close"][1]))
+        out = tmp_path / "alg.json"
+        argv = ["close", "--generators", "Z", "--out", str(out)]
+        with pytest.raises(TypeError):
+            run(argv)
+        assert not out.exists()
+        out.write_bytes(b"old bytes\n")
+        with pytest.raises(TypeError):
+            run(argv)
+        assert out.read_bytes() == b"old bytes\n"
+
     def test_json_artifact(self, capsys, tmp_path):
         out = tmp_path / "alg.json"
         _summary(capsys, ["close", "--generators", "Z", "--out", str(out)])
@@ -255,9 +270,9 @@ def _unread_keys(command):
     return sorted(set(FLAGS) - {"seed"} - set(COMMANDS[command][1]))
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -273,7 +288,7 @@ class TestCommandTable:
         assert set(COMMANDS) == set(SCHEMA["properties"]["command"]["enum"])
 
     def test_benchmark_calls_parse(self):
-        workloads = _load_workloads()
+        workloads = _load_perfbench("workloads")
         calls = [op.argv for w in workloads.WORKLOADS.values() for op in w.ops]
         assert len(calls) > 60
         for argv in calls:
@@ -527,7 +542,7 @@ class TestParser:
             assert "{" + ",".join(COMMANDS) + "}" in out
 
     def test_workload_calls_parse_as_with_every_subparser(self, monkeypatch):
-        workloads = _load_workloads()
+        workloads = _load_perfbench("workloads")
         calls = {op.argv for w in workloads.WORKLOADS.values() for op in w.ops}
         for argv in sorted(calls):
             argv = [*argv, "--seed", "1"]
@@ -591,7 +606,7 @@ class TestOneVerification:
 
 class TestBenchmarkOracle:
     def test_every_workload_operation_passes(self, capsys):
-        workloads = _load_workloads()
+        workloads = _load_perfbench("workloads")
         expected = workloads.load_expected()
         failures = []
         for w in workloads.WORKLOADS.values():
@@ -601,3 +616,11 @@ class TestBenchmarkOracle:
                 if problem is not None:
                     failures.append((w.name, argv, problem))
         assert failures == []
+
+    def test_every_traced_layer_resolves(self):
+        # a deletion that breaks the traced benchmark run fails here first
+        tracer = _load_perfbench("tracer")
+        for prefix, module, path, _ in tracer.LAYERS:
+            importlib.import_module(module)
+            owner, attr = tracer._resolve(module, path)
+            assert callable(getattr(owner, attr, None)), prefix

@@ -29,7 +29,6 @@ from wallkit.algebra import (
 from wallkit.dynamics import (
     ESCAPE_TOL,
     brickwork_unitary,
-    commuting_ops,
     conserved_algebra,
     evolve_op,
     fragment_decomposition,
@@ -435,48 +434,6 @@ class TestConserved:
             lifted = embed(c, (1,), wall.layout)
             moved = evolve_op(wall.U, lifted, 50)
             assert np.max(np.abs(moved - lifted)) < 1e-8
-
-
-class TestCommutingOps:
-    def test_identity_gives_full_center(self):
-        lay = SystemLayout.tripartite(2, (2,), 2)
-        rep = commuting_ops(np.eye(8), lay)
-        assert rep.algebra.dim == 4
-
-    def test_diag_wall_matches_prediction(self):
-        wall = synth_wall(WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=20))
-        rep = commuting_ops(wall.U, wall.layout)
-        assert rep.skipped_reason is None
-        assert rep.match is True
-        assert rep.predicted_dim == rep.algebra.dim
-        assert rep.residual < 1e-8
-
-    def test_generic_diag_wall_dim(self):
-        # Haar blocks leave only scalars per block: the diagonal projectors
-        wall = synth_wall(WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=21))
-        rep = commuting_ops(wall.U, wall.layout)
-        assert rep.algebra.dim == 2
-
-    def test_non_wall_records_why_the_cross_check_was_skipped(self):
-        lay = SystemLayout.tripartite(2, (2,), 2)
-        rep = commuting_ops(haar_unitary(8, SeededRng(33)), lay)
-        assert rep.skipped_reason.startswith("not a wall")
-        assert rep.predicted_dim is None and rep.match is None and rep.residual is None
-
-    def test_nonunitary_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            commuting_ops(2 * np.eye(8), SystemLayout.tripartite(2, (2,), 2))
-
-    def test_layout_without_edges_rejected(self):
-        with pytest.raises(ValueError, match="non-empty L and R"):
-            commuting_ops(np.eye(4), SystemLayout((2, 2)))
-
-    def test_elements_commute_with_unitary(self):
-        wall = preset_wall("fswap")
-        rep = commuting_ops(wall.U, wall.layout)
-        for c in rep.algebra.basis:
-            lifted = embed(c, (1, 2), wall.layout)
-            assert np.max(np.abs(lifted @ wall.U - wall.U @ lifted)) < 1e-8
 
 
 class TestGaugedSequence:

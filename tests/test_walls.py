@@ -1,12 +1,14 @@
-"""Wall-synthesis tests: presets, conditional gates, block recovery,
-brickwork factorization, and normaliser sampling."""
+"""Wall-synthesis tests: presets, conditional gates, synthesis, and block
+recovery against a test-side oracle."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import dagger, embed, haar_unitary, kron
-from wallkit.algebra import close_algebra, commutant, contains, equals
+from wallkit.algebra import close_algebra, contains, equals
 from wallkit.blocks import decompose, isomorphism_signature
 from wallkit import walls
 from wallkit.dynamics import invariant_algebras, verify_wall
@@ -16,13 +18,10 @@ from wallkit.walls import (
     PRESETS,
     WallSpec,
     assemble_wall,
-    brickwork_split,
     conditional_unitary,
-    normaliser_sample,
     pauli_string,
     preset_algebra,
     preset_wall,
-    recover_blocks,
     synth_wall,
 )
 
@@ -30,10 +29,79 @@ I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 SHARED_BUILDER_PRESETS = (
     "abelian-pair", "reducible-composite", "soliton-x", "uncoupled-center", "swap-zz",
 )
+# every preset at its default edges, and at (3, 4) where its construction allows
+PRESET_EDGES = [(n, None) for n in PRESET_NAMES] + [
+    (n, (3, 4)) for n in PRESET_NAMES if not PRESETS[n].qubit_edges
+]
 
 
 def _is_unitary(U, tol=1e-10):
     return np.linalg.norm(dagger(U) @ U - np.eye(U.shape[0])) < tol
+
+
+def recover_blocks(U, layout, bs, tol=1e-8):
+    """Oracle: read T^i, R^i and the block permutation off a wall unitary in
+    the frame of its central block structure (the inverse of assemble_wall)."""
+    d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
+    W = np.kron(np.kron(np.eye(d_L), bs.V), np.eye(d_R))
+    Uf = (dagger(W) @ U @ W).reshape(d_L, d_C, d_R, d_L, d_C, d_R)
+    offs = bs.block_offsets()
+    T_blocks, R_blocks, perm = [], [], []
+    for j, (dD, dE) in enumerate(bs.blocks):
+        m = dD * dE
+        target = None
+        for i, (dD2, dE2) in enumerate(bs.blocks):
+            if (dD2, dE2) != (dD, dE):
+                continue
+            B = Uf[:, offs[i] : offs[i] + m, :, :, offs[j] : offs[j] + m, :]
+            if np.linalg.norm(B) > 1e-6:
+                target = i
+                break
+        if target is None:
+            raise ValueError("no target block found; input is not in wall form")
+        B = Uf[:, offs[target] : offs[target] + m, :, :, offs[j] : offs[j] + m, :]
+        # split B = T (x) R across (L, D) | (E, R) by a rank-1 operator-Schmidt cut
+        M = B.reshape(d_L, dD, dE, d_R, d_L, dD, dE, d_R)
+        M = M.transpose(0, 1, 4, 5, 2, 3, 6, 7).reshape(
+            (d_L * dD) ** 2, (dE * d_R) ** 2
+        )
+        u, s, vh = np.linalg.svd(M)
+        if s.size > 1 and s[1] > tol * s[0]:
+            raise ValueError("block is not a tensor product; not a wall frame")
+        T = (np.sqrt(s[0]) * u[:, 0]).reshape(d_L * dD, d_L * dD)
+        R = (np.sqrt(s[0]) * vh[0]).reshape(dE * d_R, dE * d_R)
+        # normalize the scalar split so both factors are unitary
+        scale = np.sqrt(d_L * dD) / np.linalg.norm(T)
+        T_blocks.append(T * scale)
+        R_blocks.append(R / scale)
+        perm.append(target)
+    # perm[j] = slot fed by block j
+    if sorted(perm) != list(range(bs.n_blocks)):
+        raise ValueError("recovered block wiring is not a permutation")
+    recon = assemble_wall(layout, bs, T_blocks, R_blocks, perm)
+    if np.linalg.norm(recon - U) > tol * np.sqrt(layout.dim):
+        raise ValueError("block recovery failed to reproduce the unitary")
+    return T_blocks, R_blocks, perm
+
+
+def _permutation(wall):
+    return recover_blocks(wall.U, wall.layout, wall.block_structure)[2]
+
+
+def _synth_pauli_wall():
+    wall = synth_wall(
+        WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "pauli:XI,ZX", seed=9)
+    )
+    return wall.U, wall.layout, wall.block_structure
+
+
+def _given_blocks_wall():
+    lay = SystemLayout.tripartite(2, (2,), 2)
+    g = SeededRng(10).generator()
+    bs = decompose(close_algebra([Z], SystemLayout((2,))), g)
+    T = [haar_unitary(2, g) for _ in bs.blocks]
+    R = [haar_unitary(2, g) for _ in bs.blocks]
+    return assemble_wall(lay, bs, T, R), lay, bs
 
 
 class TestConditionalUnitary:
@@ -106,7 +174,7 @@ class TestSynthesis:
             SystemLayout.tripartite(2, (2,), 2), "diag", permutation=[1, 0], seed=7
         )
         wall = synth_wall(spec)
-        assert wall.permutation == [1, 0]
+        assert _permutation(wall) == [1, 0]
 
     def test_permutation_between_unequal_blocks_rejected(self):
         # center algebra C (+) M_... : blocks (1,1) and (1,3) cannot swap
@@ -117,25 +185,14 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="automorphism"):
             synth_wall(spec)
 
-    def test_round_trip_recovery(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "pauli:XI,ZX", seed=9)
-        wall = synth_wall(spec)
-        T, R, perm = recover_blocks(wall.U, wall.layout, wall.block_structure)
-        recon = assemble_wall(wall.layout, wall.block_structure, T, R, perm)
-        assert np.max(np.abs(recon - wall.U)) < 1e-9
-
-    def test_given_blocks(self):
-        lay = SystemLayout.tripartite(2, (2,), 2)
-        g = SeededRng(10).generator()
-        A_C = close_algebra([Z], SystemLayout((2,)))
-        bs = decompose(A_C, g)
-        T = [haar_unitary(2, g) for _ in bs.blocks]
-        R = [haar_unitary(2, g) for _ in bs.blocks]
-        spec = WallSpec(lay, "diag", block_mode="given", T_blocks=T, R_blocks=R)
-        wall = synth_wall(spec)
-        T2, R2, perm = recover_blocks(wall.U, lay, wall.block_structure)
-        recon = assemble_wall(lay, wall.block_structure, T2, R2, perm)
-        assert np.max(np.abs(recon - wall.U)) < 1e-9
+    @pytest.mark.parametrize(
+        "build", [_synth_pauli_wall, _given_blocks_wall], ids=["synth-pauli", "given-blocks"]
+    )
+    def test_round_trip_recovery(self, build):
+        U, lay, bs = build()
+        T, R, perm = recover_blocks(U, lay, bs)
+        recon = assemble_wall(lay, bs, T, R, perm)
+        assert np.max(np.abs(recon - U)) < 1e-9
 
     def test_recover_rejects_generic_unitary(self):
         lay = SystemLayout.tripartite(2, (2,), 2)
@@ -155,11 +212,11 @@ class TestPresets:
     def test_abelian_pair_signature(self):
         wall = preset_wall("abelian-pair")
         assert isomorphism_signature(wall.block_structure) == ((1, 1), (1, 1))
-        assert wall.permutation == [0, 1]
+        assert _permutation(wall) == [0, 1]
 
     def test_soliton_permutes_blocks(self):
-        wall = preset_wall("soliton-x")
-        assert sorted(wall.permutation) == [0, 1] and wall.permutation != [0, 1]
+        perm = _permutation(preset_wall("soliton-x"))
+        assert sorted(perm) == [0, 1] and perm != [0, 1]
 
     def test_fswap_signature(self):
         wall = preset_wall("fswap")
@@ -170,7 +227,7 @@ class TestPresets:
     def test_swap_zz_blocks(self):
         wall = preset_wall("swap-zz")
         assert isomorphism_signature(wall.block_structure) == ((1, 1),) * 4
-        assert sorted(wall.permutation) == [0, 1, 2, 3]
+        assert sorted(_permutation(wall)) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("name", SHARED_BUILDER_PRESETS)
     def test_edge_dims_override(self, name):
@@ -196,6 +253,21 @@ class TestPresets:
         layout, A_C = preset_algebra(name, dims=dims)
         assert layout == wall.layout
         assert np.array_equal(A_C.basis, wall.A_C.basis)
+
+    @pytest.mark.parametrize("name, dims", PRESET_EDGES)
+    def test_declared_algebra_is_the_invariant_one(self, name, dims):
+        wall = preset_wall(name, dims=dims, seed=2)
+        assert equals(wall.A_C, wall.invariants.A_C)
+        T, R, perm = recover_blocks(wall.U, wall.layout, wall.block_structure)
+        recon = assemble_wall(wall.layout, wall.block_structure, T, R, perm)
+        assert np.max(np.abs(recon - wall.U)) < 1e-9
+
+    def test_declared_algebra_mismatch_raises(self, monkeypatch):
+        # the pair's U keeps diag(Z_C); declaring only the scalars must fail
+        row = replace(PRESETS["abelian-pair"], generators=(I2,))
+        monkeypatch.setitem(PRESETS, "abelian-pair", row)
+        with pytest.raises(RuntimeError, match="declared A_C"):
+            preset_wall("abelian-pair")
 
     def test_trivial_follows_central_algebra(self):
         assert not any(preset_wall(name).trivial for name in PRESET_NAMES)
@@ -235,62 +307,3 @@ class TestCachedInvariants:
         wall.U = 2 * wall.U
         with pytest.raises(ValueError, match="not unitary"):
             walls._assert_wall(wall)
-
-
-class TestBrickwork:
-    def test_factorization_exact(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=13)
-        V, W, wall = brickwork_split(spec)
-        assert np.max(np.abs(W @ V - wall.U)) < 1e-12
-
-    def test_gates_commute_without_permutation(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=14)
-        V, W, wall = brickwork_split(spec)
-        assert np.max(np.abs(V @ W - W @ V)) < 1e-10
-
-    def test_gates_do_not_commute_with_permutation(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=15)
-        V, W, wall = brickwork_split(spec, permutation_V=[1, 0])
-        assert np.max(np.abs(V @ W - W @ V)) > 1e-3
-        assert _is_unitary(wall.U)
-
-    def test_nonabelian_split(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "pauli:XI,ZX", seed=16)
-        V, W, wall = brickwork_split(spec)
-        assert np.max(np.abs(W @ V - wall.U)) < 1e-12
-        # V acts trivially on R, W trivially on L
-        d = wall.layout.dim
-        MV = V.reshape(8, 2, 8, 2)
-        assert np.max(np.abs(MV - np.einsum("ac,bd->abcd", MV[:, 0, :, 0], np.eye(2)))) < 1e-10
-        MW = W.reshape(2, 8, 2, 8)
-        assert np.max(np.abs(MW - np.einsum("ac,bd->abcd", np.eye(2), MW[0, :, 0, :]))) < 1e-10
-
-
-class TestNormaliser:
-    def _preserves(self, G, alg):
-        rotated = np.einsum("ab,kbc,dc->kad", G, alg.basis, G.conj())
-        return all(contains(alg.space, m, 1e-8) for m in rotated)
-
-    def test_preserves_algebra_and_commutant(self):
-        alg = close_algebra([pauli_string("XI"), pauli_string("ZX")], SystemLayout((2, 2)))
-        com = commutant(alg)
-        for k in range(3):
-            G = normaliser_sample(alg, SeededRng(17, k))
-            assert _is_unitary(G)
-            assert self._preserves(G, alg)
-            assert self._preserves(G, com)
-
-    def test_group_closure(self):
-        alg = close_algebra([np.diag([0.0, 1, 2, 3])], SystemLayout((4,)))
-        G1 = normaliser_sample(alg, SeededRng(18, 0))
-        G2 = normaliser_sample(alg, SeededRng(18, 1))
-        assert self._preserves(G1 @ G2, alg)
-        assert self._preserves(dagger(G1), alg)
-
-    def test_diag_normaliser_is_monomial(self):
-        alg = close_algebra([np.diag([0.0, 1, 2, 3])], SystemLayout((4,)))
-        G = normaliser_sample(alg, SeededRng(19))
-        # exactly one nonzero entry per row/column
-        mags = np.abs(G)
-        assert np.all(np.sum(mags > 1e-10, axis=0) == 1)
-        assert np.all(np.sum(mags > 1e-10, axis=1) == 1)
