@@ -31,7 +31,6 @@ from .algebra import (
 )
 from .blocks import BlockStructure, decompose, isomorphism_signature, reconstruct
 from .walls import (
-    WallSpec,
     WallUnitary,
     conditional_unitary,
     pauli_string,
@@ -39,7 +38,6 @@ from .walls import (
     synth_wall,
 )
 from .dynamics import (
-    InvariantAlgebras,
     LightConeProfile,
     WallReport,
     conserved_algebra,

@@ -18,12 +18,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .layout import SeededRng, SystemLayout
-from .linalg import RANK_TOL, ZERO_TOL, embed, haar_unitary
+from .linalg import embed, haar_unitary
 from .algebra import center as algebra_center, close_algebra, commutant
 from .blocks import decompose, isomorphism_signature
 from .walls import (
     PRESET_NAMES,
-    WallSpec,
     conditional_unitary,
     pauli_string,
     preset_algebra,
@@ -56,13 +55,13 @@ class RunConfig(SimpleNamespace):
 
 @dataclass(frozen=True)
 class Flag:
-    """Type, default and range of one config key: ``kind`` is int, float,
-    str or "ints" (comma-separated integers); ``low``/``high`` bound a number
-    or each integer of a list."""
+    """Type, default and range of one config key: ``kind`` is int, str or
+    "ints" (comma-separated integers); ``low``/``high`` bound an integer or
+    each integer of a list."""
 
     kind: object
     default: object = None
-    low: float | None = None
+    low: int | None = None
     high: int | None = None
     choices: tuple[str, ...] | None = None
 
@@ -71,7 +70,7 @@ FLAGS = {
     "preset": Flag(str, choices=PRESET_NAMES),
     "generators": Flag(str),
     "dims": Flag("ints", low=1),
-    "algebra": Flag(str, "diag"),
+    "algebra": Flag(str),
     "permutation": Flag("ints"),
     "seed": Flag(int, 0, low=0),
     "t_max": Flag(int, 20, low=0),
@@ -80,19 +79,17 @@ FLAGS = {
     "observable": Flag(str, "Z"),
     "seed_site": Flag(int, 0),
     "seed_pauli": Flag(str, "Z"),
-    "tol_rank": Flag(float, RANK_TOL, low=0.0),
-    "tol_support": Flag(float, ZERO_TOL, low=0.0),
     "out": Flag(str),
     "format": Flag(str, "csv", choices=("csv", "json")),
     "chain_sites": Flag(int, 8, low=4, high=10),
     "embed_at": Flag(int),
     "haar_dim": Flag(int, low=1),
-    "dim_l": Flag(int, 2, low=1),
-    "dim_r": Flag(int, 2, low=1),
+    "dim_l": Flag(int, low=1),
+    "dim_r": Flag(int, low=1),
     "max_width": Flag(int, 2, low=1),
 }
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", "ints": "integers"}
+_KIND_NAMES = {int: "an integer", str: "a string", "ints": "integers"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +123,7 @@ def _build_parser(argv=()) -> _Parser:
 def _has_kind(value, kind) -> bool:
     if kind == "ints":
         return isinstance(value, list) and all(_has_kind(v, int) for v in value)
-    allowed = (int, float) if kind is float else kind
-    return isinstance(value, allowed) and not isinstance(value, bool)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _checked(key: str, value):
@@ -240,41 +236,51 @@ def _algebra_from_config(cfg: RunConfig):
         raise UsageError("all generator strings must have equal length")
     layout = SystemLayout((2,) * n)
     try:
-        return close_algebra(gens, layout, cfg.tol_rank)
+        return close_algebra(gens, layout)
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
+def _reject(cfg: RunConfig, keys, reason: str):
+    """UsageError naming each of ``keys`` that the call sets: a flag that
+    the chosen route would ignore."""
+    given = ["--" + k.replace("_", "-") for k in keys if getattr(cfg, k) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} {reason}")
+
+
 def _dims_layout(cfg: RunConfig) -> SystemLayout:
+    _reject(cfg, ("dim_l", "dim_r"), "cannot be used without --preset")
     dims = cfg.dims or [2, 2, 2]
     if len(dims) < 3:
         raise UsageError("--dims needs at least L, one central site, and R")
     return SystemLayout.tripartite(dims[0], dims[1:-1], dims[-1])
 
 
-def _wall_from_config(cfg: RunConfig):
+def _edge_dims(cfg: RunConfig) -> tuple[int, int]:
+    """(d_L, d_R) of a --preset wall, default (2, 2)."""
+    _reject(cfg, ("dims", "algebra", "permutation"), "cannot be used with --preset")
+    return (2 if cfg.dim_l is None else cfg.dim_l, 2 if cfg.dim_r is None else cfg.dim_r)
+
+
+def _central_algebra_from_config(cfg: RunConfig):
+    """Layout and A_C of the wall that ``_wall_from_config`` builds: a
+    preset's, or ``--algebra`` (default "diag") on the ``--dims`` layout."""
     try:
         if cfg.preset:
-            return preset_wall(cfg.preset, dims=(cfg.dim_l, cfg.dim_r), seed=cfg.seed)
-        # fall back to generic synthesis from dims + algebra
-        spec = WallSpec(
-            _dims_layout(cfg),
-            central_algebra=cfg.algebra,
-            permutation=cfg.permutation,
-            seed=cfg.seed,
-        )
-        return synth_wall(spec)
+            return preset_algebra(cfg.preset, dims=_edge_dims(cfg))
+        layout = _dims_layout(cfg)
+        algebra = "diag" if cfg.algebra is None else cfg.algebra
+        return layout, resolve_central_algebra(algebra, layout)
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _central_algebra_from_config(cfg: RunConfig):
-    """Layout and A_C of the wall that ``_wall_from_config`` would build."""
+def _wall_from_config(cfg: RunConfig):
     try:
         if cfg.preset:
-            return preset_algebra(cfg.preset, dims=(cfg.dim_l, cfg.dim_r))
-        layout = _dims_layout(cfg)
-        return layout, resolve_central_algebra(WallSpec(layout, central_algebra=cfg.algebra))
+            return preset_wall(cfg.preset, dims=_edge_dims(cfg), seed=cfg.seed)
+        return synth_wall(*_central_algebra_from_config(cfg), cfg.permutation, cfg.seed)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -292,12 +298,12 @@ def _cmd_close(cfg):
 
 
 def _cmd_commutant(cfg):
-    alg = commutant(_algebra_from_config(cfg), cfg.tol_rank)
+    alg = commutant(_algebra_from_config(cfg))
     return {"dim": alg.dim}, ("json", alg.to_json())
 
 
 def _cmd_center(cfg):
-    alg = algebra_center(_algebra_from_config(cfg), cfg.tol_rank)
+    alg = algebra_center(_algebra_from_config(cfg))
     return {"dim": alg.dim}, ("json", alg.to_json())
 
 
@@ -329,12 +335,12 @@ def _cmd_synth(cfg):
 def _cmd_verify(cfg):
     if cfg.algebra == "haar":
         # verify a Haar-random unitary on the given layout (generically fails)
+        _reject(cfg, ("preset", "permutation"), "cannot be used with --algebra haar")
         layout = _dims_layout(cfg)
-        U = haar_unitary(layout.dim, SeededRng(cfg.seed, 77))
+        report = dynamics.verify_wall(haar_unitary(layout.dim, SeededRng(cfg.seed, 77)), layout)
     else:
-        wall = _wall_from_config(cfg)
-        U, layout = wall.U, wall.layout
-    report = dynamics.verify_wall(U, layout, cfg.tol_support * 10)
+        # a preset or --dims wall passed this check when it was built
+        report = _wall_from_config(cfg).invariants
     data = report.summary()
     if not report.is_wall:
         raise PropertyViolation("wall verification failed", data)
@@ -352,7 +358,7 @@ def _cmd_lightcone(cfg):
         seed_op = embed(pauli_string(cfg.seed_pauli), (cfg.seed_site,), layout)
     except ValueError as exc:
         raise UsageError(str(exc))
-    prof = dynamics.lightcone(wall.U, seed_op, layout, cfg.t_max, cfg.tol_support)
+    prof = dynamics.lightcone(wall.U, seed_op, layout, cfg.t_max)
     sizes = [len(s) for s in prof.support_sets]
     data = {
         "t_max": cfg.t_max,
@@ -377,7 +383,7 @@ def _cmd_invariants(cfg):
 
 def _cmd_conserved(cfg):
     inv = _wall_from_config(cfg).invariants
-    cons = dynamics.conserved_algebra(inv, cfg.tol_rank)
+    cons = dynamics.conserved_algebra(inv)
     return {"dim_conserved": cons.dim}, ("json", cons.to_json())
 
 
@@ -420,9 +426,7 @@ def _cmd_scan(cfg):
         even[(s - 1) // 2] = conditional_unitary(np.eye(2), xi)
         # odd-layer gate (s, s+1): control on s, branches on the right leg
         odd[(s - 1) // 2] = conditional_unitary(np.eye(2), zeta, control_first=True)
-    rep = dynamics.scan_chain(
-        (2,) * n, even, odd, max_width=cfg.max_width, tol=cfg.tol_support * 10
-    )
+    rep = dynamics.scan_chain((2,) * n, even, odd, max_width=cfg.max_width)
     data = {
         "detections": [list(w) for w in rep.detections],
         "minimal_windows": [list(w) for w in rep.minimal_windows],
@@ -477,6 +481,7 @@ def _cmd_sff(cfg):
     if cfg.t_max < 1 or cfg.samples < 2:
         raise UsageError("sff needs --t-max >= 1 and --samples >= 2")
     if cfg.haar_dim is not None:
+        _reject(cfg, _LAYOUT, "cannot be used with --haar-dim")
         blocks, d_L, d_R = [(1, 1)], cfg.haar_dim, 1
     else:
         # block-Haar ensemble over the wall's central algebra; no wall is built
@@ -498,23 +503,20 @@ def _cmd_sff(cfg):
 # only where the artifact is a CSV table, since JSON artifacts ignore it
 _LAYOUT = ("preset", "dim_l", "dim_r", "dims", "algebra")  # fix the layout and A_C
 _WALL = _LAYOUT + ("permutation",)
-_ALGEBRA = ("generators", "tol_rank")
+_ALGEBRA = ("generators",)
 COMMANDS = {
     "close": (_cmd_close, _ALGEBRA + ("out",)),
     "commutant": (_cmd_commutant, _ALGEBRA + ("out",)),
     "center": (_cmd_center, _ALGEBRA + ("out",)),
     "decompose": (_cmd_decompose, _ALGEBRA + ("out",)),
     "synth": (_cmd_synth, _WALL + ("out",)),
-    "verify": (_cmd_verify, _WALL + ("tol_support",)),
-    "lightcone": (
-        _cmd_lightcone,
-        _WALL + ("seed_site", "seed_pauli", "t_max", "tol_support", "out", "format"),
-    ),
+    "verify": (_cmd_verify, _WALL),
+    "lightcone": (_cmd_lightcone, _WALL + ("seed_site", "seed_pauli", "t_max", "out", "format")),
     "invariants": (_cmd_invariants, _WALL),
-    "conserved": (_cmd_conserved, _WALL + ("tol_rank", "out")),
+    "conserved": (_cmd_conserved, _WALL + ("out",)),
     "gauge-seq": (_cmd_gauge_seq, _WALL + ("t_max",)),
     "fragments": (_cmd_fragments, _WALL),
-    "scan": (_cmd_scan, ("chain_sites", "embed_at", "max_width", "tol_support", "out", "format")),
+    "scan": (_cmd_scan, ("chain_sites", "embed_at", "max_width", "out", "format")),
     "arealaw": (_cmd_arealaw, _WALL + ("t_max", "samples")),
     "measure": (_cmd_measure, _WALL + ("observable", "rounds", "out", "format")),
     "sff": (_cmd_sff, _LAYOUT + ("haar_dim", "t_max", "samples", "out", "format")),

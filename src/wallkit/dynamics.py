@@ -244,18 +244,53 @@ def _directional_closure(U, layout: SystemLayout, tol: float):
 
 @dataclass
 class WallReport:
+    """One wall check: each side that passes carries its central factor on C.
+    On a wall, Lbar = M_L x A_C x 1_R and Rbar = 1_L x B_C x M_R."""
+
     left: bool
     right: bool
-    stabilization_time: int
     steps_left: int
     steps_right: int
+    layout: SystemLayout
     A_C: MatrixAlgebra | None = None
     B_C: MatrixAlgebra | None = None
-    improper: bool | None = None
 
     @property
     def is_wall(self) -> bool:
         return self.left and self.right
+
+    @property
+    def stabilization_time(self) -> int:
+        return max(self.steps_left, self.steps_right)
+
+    @property
+    def improper(self) -> bool | None:
+        """A_C is 1 or all of M_C; None when the left check fails."""
+        return None if self.A_C is None else self.A_C.dim in (1, self.layout.d_center ** 2)
+
+    @property
+    def dim_Lbar(self) -> int:
+        return self.layout.d_left ** 2 * self.A_C.dim
+
+    @property
+    def dim_Rbar(self) -> int:
+        return self.layout.d_right ** 2 * self.B_C.dim
+
+    @property
+    def Lbar(self) -> MatrixAlgebra:
+        """M_L x A_C x 1_R on the full space, built on each access."""
+        lay = self.layout
+        return _lift_factors(
+            _edge_basis(lay.d_left, True), self.A_C.basis, _edge_basis(lay.d_right, False), lay
+        )
+
+    @property
+    def Rbar(self) -> MatrixAlgebra:
+        """1_L x B_C x M_R on the full space, built on each access."""
+        lay = self.layout
+        return _lift_factors(
+            _edge_basis(lay.d_left, False), self.B_C.basis, _edge_basis(lay.d_right, True), lay
+        )
 
     def summary(self) -> dict:
         out = {
@@ -295,15 +330,10 @@ def _verify_wall(U: np.ndarray, layout: SystemLayout, tol: float) -> WallReport:
     swapped = _swapped_layout(layout)
     left, s_l, a_basis = _directional_closure(U, layout, tol)
     right, s_r, b_basis = _directional_closure(_swap_edges(U[None], layout)[0], swapped, tol)
-    report = WallReport(left, right, max(s_l, s_r), s_l, s_r)
     c_layout = SystemLayout(layout.center_dims)
-    if left:
-        report.A_C = MatrixAlgebra(OperatorSpace(a_basis, c_layout))
-        d_C = layout.d_center
-        report.improper = report.A_C.dim in (1, d_C * d_C)
-    if right:
-        report.B_C = MatrixAlgebra(OperatorSpace(b_basis, c_layout))
-    return report
+    A_C = MatrixAlgebra(OperatorSpace(a_basis, c_layout)) if left else None
+    B_C = MatrixAlgebra(OperatorSpace(b_basis, c_layout)) if right else None
+    return WallReport(left, right, s_l, s_r, layout, A_C, B_C)
 
 
 def _lift_factors(left, center, right, layout: SystemLayout) -> MatrixAlgebra:
@@ -319,48 +349,13 @@ def _edge_basis(d: int, full: bool) -> np.ndarray:
     return np.eye(d * d).reshape(-1, d, d) if full else np.eye(d)[None] / np.sqrt(d)
 
 
-@dataclass
-class InvariantAlgebras:
-    """Invariant algebras of a wall, held by their central factors on C:
-    Lbar = M_L x A_C x 1_R and Rbar = 1_L x B_C x M_R."""
-
-    A_C: MatrixAlgebra
-    B_C: MatrixAlgebra
-    stabilization_time: int
-    layout: SystemLayout
-
-    @property
-    def dim_Lbar(self) -> int:
-        return self.layout.d_left ** 2 * self.A_C.dim
-
-    @property
-    def dim_Rbar(self) -> int:
-        return self.layout.d_right ** 2 * self.B_C.dim
-
-    @property
-    def Lbar(self) -> MatrixAlgebra:
-        """M_L x A_C x 1_R on the full space, built on each access."""
-        lay = self.layout
-        return _lift_factors(
-            _edge_basis(lay.d_left, True), self.A_C.basis, _edge_basis(lay.d_right, False), lay
-        )
-
-    @property
-    def Rbar(self) -> MatrixAlgebra:
-        """1_L x B_C x M_R on the full space, built on each access."""
-        lay = self.layout
-        return _lift_factors(
-            _edge_basis(lay.d_left, False), self.B_C.basis, _edge_basis(lay.d_right, True), lay
-        )
-
-
 class NotAWallError(ValueError):
     """The unitary fails the wall check."""
 
 
-def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> InvariantAlgebras:
-    """Invariant algebras of a wall; raises ``NotAWallError`` (a
-    ``ValueError``) on a non-wall."""
+def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> WallReport:
+    """The report of a wall, which holds its invariant algebras; raises
+    ``NotAWallError`` (a ``ValueError``) on a non-wall."""
     report = verify_wall(U, layout, tol)
     if not report.is_wall:
         raise NotAWallError(f"not a wall: left={report.left}, right={report.right}")
@@ -369,10 +364,10 @@ def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> Inva
         for y in report.B_C.basis:
             if hs_norm(x @ y - y @ x) > 1e-9:
                 raise RuntimeError("central factors fail to commute (numerical failure)")
-    return InvariantAlgebras(report.A_C, report.B_C, report.stabilization_time, layout)
+    return report
 
 
-def conserved_algebra(inv: InvariantAlgebras, tol: float = RANK_TOL) -> MatrixAlgebra:
+def conserved_algebra(inv: WallReport, tol: float = RANK_TOL) -> MatrixAlgebra:
     """C-local conserved charges, computed on C.
 
     The invariant algebras factor as Lbar = M_L x A_C x 1_R and
@@ -408,7 +403,7 @@ def gauged_sequence(wall, gauges, rng=None, tol: float = RANK_TOL) -> GaugedSequ
     """Evolve the left-invariant algebra through a gauged wall sequence
     U~_tau = G_tau^dag U G_{tau-1} and report isomorphism signatures.
 
-    ``wall`` is a ``WallUnitary``, whose cached ``invariants`` give Lbar;
+    ``wall`` is a ``WallUnitary``, whose ``invariants`` give Lbar;
     ``gauges`` lists G_0 .. G_T; G_0 must preserve the Lbar span.
     """
     U, layout = np.asarray(wall.U, dtype=complex), wall.layout
@@ -461,7 +456,7 @@ class FragmentDecomposition:
         }
 
 
-def fragment_decomposition(inv: InvariantAlgebras) -> FragmentDecomposition:
+def fragment_decomposition(inv: WallReport) -> FragmentDecomposition:
     """Sector dimensions of the central operator-space splitting."""
     I = intersect(inv.A_C.space, inv.B_C.space)
     d2 = inv.layout.dim ** 2

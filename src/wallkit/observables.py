@@ -63,7 +63,7 @@ class SchmidtData:
     def entropy_bits(self) -> float:
         p = self.singular_values**2
         p = p[p > 1e-15]
-        return float(-np.sum(p * np.log2(p)))
+        return max(0.0, float(-np.sum(p * np.log2(p))))  # no -0.0 or rounding below 0
 
 
 def schmidt(psi: PureState, cut: int, rank_tol: float = SCHMIDT_RANK_TOL) -> SchmidtData:

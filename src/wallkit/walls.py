@@ -4,12 +4,11 @@ unitaries, and the catalogue presets."""
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import SeededRng, SystemLayout, as_generator
+from .layout import SeededRng, SystemLayout
 from .linalg import RANK_TOL, dagger, embed, haar_unitary, hs_norm
 from .algebra import MatrixAlgebra, close_algebra, equals
 from .blocks import BlockStructure, decompose
@@ -33,21 +32,11 @@ def pauli_string(s: str) -> np.ndarray:
     return out
 
 
-@dataclass
-class WallSpec:
-    """Recipe for a wall: layout, central algebra, block content, wiring."""
-
-    layout: SystemLayout
-    central_algebra: object = "diag"  # "diag" | "full" | "pauli:XI,ZX" | matrices
-    permutation: list[int] | None = None
-    seed: int = 0
-
-
-def resolve_central_algebra(spec: WallSpec, tol: float = RANK_TOL) -> MatrixAlgebra:
-    """Build the central algebra named (or listed) by the spec, on C."""
-    c_layout = SystemLayout(spec.layout.center_dims)
+def resolve_central_algebra(alg, layout: SystemLayout, tol: float = RANK_TOL) -> MatrixAlgebra:
+    """The central algebra on C of ``layout`` that ``alg`` names ("diag",
+    "full" or "pauli:XI,ZX") or lists as generator matrices."""
+    c_layout = SystemLayout(layout.center_dims)
     d_C = c_layout.dim
-    alg = spec.central_algebra
     if isinstance(alg, str):
         if alg == "diag":
             gens = [np.diag(np.arange(d_C, dtype=complex))]
@@ -72,25 +61,27 @@ def resolve_central_algebra(spec: WallSpec, tol: float = RANK_TOL) -> MatrixAlge
 
 @dataclass
 class WallUnitary:
-    """A verified wall unitary together with its structural data."""
+    """A wall unitary together with its structural data.  Construction runs
+    the wall check once and keeps its report as ``invariants``; it raises
+    ``RuntimeError`` on a non-wall and ``ValueError`` on a non-unitary."""
 
     U: np.ndarray
     layout: SystemLayout
     A_C: MatrixAlgebra
     block_structure: BlockStructure
     name: str | None = None
+    invariants: dynamics.WallReport = field(init=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            self.invariants = dynamics.invariant_algebras(self.U, self.layout)
+        except dynamics.NotAWallError as exc:
+            raise RuntimeError(f"synthesized unitary failed the wall check: {exc}") from exc
 
     @property
     def trivial(self) -> bool:
         """A_C is 1 or all of M_C: an improper wall."""
         return self.A_C.dim in (1, self.layout.d_center ** 2)
-
-    @cached_property
-    def invariants(self) -> dynamics.InvariantAlgebras:
-        """The wall's invariant algebras, from one wall verification that
-        later callers reuse (so ``U`` must not change after the first
-        access); raises ``ValueError`` on a non-wall."""
-        return dynamics.invariant_algebras(self.U, self.layout)
 
 
 def assemble_wall(layout: SystemLayout, bs: BlockStructure, T_blocks, R_blocks, permutation=None) -> np.ndarray:
@@ -123,32 +114,19 @@ def assemble_wall(layout: SystemLayout, bs: BlockStructure, T_blocks, R_blocks, 
     return W @ U_frame @ dagger(W)
 
 
-def synth_wall(spec: WallSpec, rng=None, verify: bool = True) -> WallUnitary:
-    """Synthesize a wall over the spec's central algebra.
+def synth_wall(layout: SystemLayout, A_C: MatrixAlgebra, permutation=None, seed: int = 0) -> WallUnitary:
+    """Synthesize a wall over the central algebra ``A_C`` on C.
 
-    Draws T^i ~ Haar(d_L dim_D_i) and R^i ~ Haar(dim_E_i d_R); the result is
-    wall-verified unless ``verify`` is false.
+    Draws T^i ~ Haar(d_L dim_D_i) and R^i ~ Haar(dim_E_i d_R) from stream
+    ``SeededRng(seed)``; block i feeds slot ``permutation[i]``.  The
+    returned ``WallUnitary`` has passed the wall check.
     """
-    base = SeededRng(spec.seed) if rng is None else rng
-    g = as_generator(base)
-    layout = spec.layout
-    A_C = resolve_central_algebra(spec)
+    g = SeededRng(seed).generator()
     bs = decompose(A_C, g)
     T_blocks = [haar_unitary(layout.d_left * dD, g) for dD, _ in bs.blocks]
     R_blocks = [haar_unitary(dE * layout.d_right, g) for _, dE in bs.blocks]
-    U = assemble_wall(layout, bs, T_blocks, R_blocks, spec.permutation)
-    wall = WallUnitary(U, layout, A_C, bs)
-    if verify:
-        _assert_wall(wall)
-    return wall
-
-
-def _assert_wall(wall: WallUnitary):
-    """Verify the wall once; ``wall.invariants`` keeps the result."""
-    try:
-        wall.invariants
-    except dynamics.NotAWallError as exc:
-        raise RuntimeError(f"synthesized unitary failed the wall check: {exc}") from exc
+    U = assemble_wall(layout, bs, T_blocks, R_blocks, permutation)
+    return WallUnitary(U, layout, A_C, bs)
 
 
 def conditional_unitary(eigenbasis, branches, control_first: bool = False) -> np.ndarray:
@@ -281,14 +259,12 @@ def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
     """
     preset, layout = _preset_layout(name, dims)
     if preset.build is None:
-        spec = WallSpec(layout, central_algebra=list(preset.generators), seed=seed)
-        wall = synth_wall(spec)
+        wall = synth_wall(layout, preset.central_algebra(), seed=seed)
     else:
         rng = SeededRng(seed, 101)
         U = preset.build(preset, layout, rng.generator())
         A_C = preset.central_algebra()
         wall = WallUnitary(U, layout, A_C, decompose(A_C, rng))
-        _assert_wall(wall)
     if not equals(wall.A_C, wall.invariants.A_C):
         raise RuntimeError(
             f"{name} preset failed the wall check: its declared A_C (dim "

@@ -28,7 +28,6 @@ from wallkit.observables import (
 from wallkit.walls import (
     PAULI,
     PRESET_NAMES,
-    WallSpec,
     conditional_unitary,
     pauli_string,
     preset_wall,
@@ -66,14 +65,12 @@ def test_criterion_1_wall_verification_suite():
         if kind == 0:
             U = haar_unitary(8, g)
         elif kind == 1:
-            U = synth_wall(WallSpec(lay8, "diag", seed=2000 + k), verify=False).U
+            U = synth_wall(lay8, resolve_central_algebra("diag", lay8), seed=2000 + k).U
         elif kind == 2:
             U = kron(haar_unitary(4, g), haar_unitary(2, g))  # LC x R product
         else:
-            U = synth_wall(
-                WallSpec(lay8, "pauli:X" if k % 8 == 3 else "full", seed=3000 + k),
-                verify=False,
-            ).U
+            alg = resolve_central_algebra("pauli:X" if k % 8 == 3 else "full", lay8)
+            U = synth_wall(lay8, alg, seed=3000 + k).U
         rep = verify_wall(U, lay8)
         agree += int(rep.left == rep.right)
     if agree != 200:
@@ -192,8 +189,8 @@ def test_criterion_6_area_law():
     )
 
 
-def _central_blocks(spec, seed):
-    return decompose(resolve_central_algebra(spec), SeededRng(seed, 7)).blocks
+def _central_blocks(alg, layout, seed):
+    return decompose(resolve_central_algebra(alg, layout), SeededRng(seed, 7)).blocks
 
 
 def test_criterion_7_sff_quantitative():
@@ -201,7 +198,7 @@ def test_criterion_7_sff_quantitative():
     problems = []
     lay = SystemLayout.tripartite(2, (2,), 2)
     res = sff_mc(
-        _central_blocks(WallSpec(lay, "diag"), 940), 2, 2,
+        _central_blocks("diag", lay, 940), 2, 2,
         t_max=8, samples=4000, rng=SeededRng(940),
     )
     for t, expect in [(1, 2.0), (2, 8.0)] + [(t, 8.0) for t in range(3, 9)]:
@@ -213,7 +210,7 @@ def test_criterion_7_sff_quantitative():
             problems.append(f"haar K({t}) = {res_h.K_mc[t]:.3f} vs {min(t, 4)}")
     lay2 = SystemLayout.tripartite(2, (2, 2), 2)
     res_b = sff_mc(
-        _central_blocks(WallSpec(lay2, "pauli:XI,ZX"), 942), 2, 2,
+        _central_blocks("pauli:XI,ZX", lay2, 942), 2, 2,
         t_max=8, samples=4000, rng=SeededRng(942),
     )
     for t in (1, 2, 4, 8):

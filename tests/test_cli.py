@@ -4,6 +4,7 @@ and artifact emission."""
 import argparse
 import importlib.util
 import json
+import math
 import re
 import sys
 from importlib import resources
@@ -54,6 +55,12 @@ class TestSummaries:
     def test_decompose(self, capsys):
         p = _summary(capsys, ["decompose", "--generators", "XI,ZX"])
         assert p["data"]["signature"] == [[2, 2]]
+
+    def test_measured_entropy_is_never_negative(self, capsys):
+        # the soliton's final state is a product state; rounding gave -6.4e-16
+        argv = ["measure", "--preset", "soliton-x", "--observable", "Z", "--seed", "3"]
+        entropy = _summary(capsys, argv)["data"]["final_entropy_bits"]
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
     def test_verify_preset(self, capsys):
         p = _summary(capsys, ["verify", "--preset", "fswap"])
@@ -251,14 +258,14 @@ class TestDeterminism:
 FLAG_VALUES = {
     "preset": "fswap", "generators": "XI,ZX", "dims": "2,2,2", "algebra": "diag",
     "permutation": "0,1", "seed": "1", "t_max": "3", "samples": "3", "rounds": "2",
-    "observable": "ZZ", "seed_site": "0", "seed_pauli": "X", "tol_rank": "1e-9",
-    "tol_support": "1e-12", "out": "x.json", "format": "json", "chain_sites": "4",
-    "embed_at": "1", "haar_dim": "4", "dim_l": "2", "dim_r": "2", "max_width": "2",
+    "observable": "ZZ", "seed_site": "0", "seed_pauli": "X", "out": "x.json",
+    "format": "json", "chain_sites": "4", "embed_at": "1", "haar_dim": "4", "dim_l": "2",
+    "dim_r": "2", "max_width": "2",
 }
 JSON_VALUES = {
     "dims": [2, 2, 2], "permutation": [0, 1], "seed": 1, "t_max": 3, "samples": 3,
-    "rounds": 2, "seed_site": 0, "tol_rank": 1e-9, "tol_support": 1e-12,
-    "chain_sites": 4, "embed_at": 1, "haar_dim": 4, "dim_l": 2, "dim_r": 2, "max_width": 2,
+    "rounds": 2, "seed_site": 0, "chain_sites": 4, "embed_at": 1, "haar_dim": 4,
+    "dim_l": 2, "dim_r": 2, "max_width": 2,
 }
 
 
@@ -325,6 +332,19 @@ class TestCommandTable:
         assert json.loads(err.strip())["error"] == f"unknown config keys for {command}: {unread}"
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_tolerance_keys_are_gone(self, command, capsys, tmp_path):
+        # every rank and escape tolerance is fixed in code
+        for key, value in (("tol_rank", 1e-9), ("tol_support", 1e-10)):
+            code, out, err = _run(capsys, [command, _flag(key), str(value)])
+            assert code == 1 and out == "", key
+            assert "unrecognized arguments" in json.loads(err.strip())["error"]
+            cfgf = tmp_path / "c.json"
+            cfgf.write_text(json.dumps({key: value}))
+            code, out, err = _run(capsys, [command, "--config", str(cfgf)])
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == f"unknown config keys for {command}: ['{key}']"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_help_lists_only_read_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config([command, "--help"])
@@ -348,7 +368,7 @@ INVALID_CALLS = [
     "arealaw --preset abelian-pair --t-max -1",
     "arealaw --preset abelian-pair --samples 0",
     "close --generators XI,ZX --samples 7 --chain-sites 99",
-    "close --generators XI --tol-rank -1",
+    "conserved --preset abelian-pair --dim-r 0",
     "verify --preset fswap --seed -1",
     "verify --dims 2,0,2",
     "verify --algebra haar --dims 2,2",
@@ -364,12 +384,32 @@ INVALID_CONFIGS = [
     ("verify", {"preset": "nope"}),
     ("verify", {"dims": [2, "2", 2]}),
     ("sff", {"samples": 1, "preset": "fswap"}),
-    ("scan", {"tol_support": "tiny"}),
+    ("scan", {"max_width": "wide"}),
     ("measure", {"preset": "fswap", "rounds": 0}),
+]
+
+# a flag that the chosen wall route would ignore, and the flag the error names
+CONFLICTING_CALLS = [
+    ("verify --algebra haar --preset abelian-pair", "--preset"),
+    ("verify --algebra haar --permutation 1,0", "--permutation"),
+    ("synth --preset abelian-pair --permutation 1,0", "--permutation"),
+    ("synth --preset abelian-pair --dims 2,2,2", "--dims"),
+    ("synth --preset abelian-pair --algebra full", "--algebra"),
+    ("synth --dims 2,2,2 --dim-l 3", "--dim-l"),
+    ("invariants --dim-r 3", "--dim-r"),
+    ("sff --haar-dim 4 --preset abelian-pair", "--preset"),
+    ("sff --haar-dim 4 --dims 2,2,2 --algebra full", "--dims, --algebra"),
+    ("sff --dims 2,2,2 --dim-l 3", "--dim-l"),
 ]
 
 
 class TestInvalidInputs:
+    @pytest.mark.parametrize("argv, flag", CONFLICTING_CALLS)
+    def test_conflicting_wall_flags(self, argv, flag, capsys):
+        code, out, err = _run(capsys, argv.split())
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].startswith(flag + " cannot be used")
+
     @pytest.mark.parametrize("argv", INVALID_CALLS)
     def test_usage_error(self, argv, capsys):
         code, out, err = _run(capsys, argv.split())
@@ -602,6 +642,27 @@ class TestOneVerification:
 
         monkeypatch.setattr(cli, "_wall_from_config", build_then_forbid)
         _summary(capsys, call + source)
+
+
+VERIFY_SOURCES = [["--preset", name] for name in walls.PRESET_NAMES] + [["--dims", "2,2,2"]]
+
+
+class TestVerifyReusesTheConstructionCheck:
+    @pytest.mark.parametrize("source", VERIFY_SOURCES, ids=lambda a: "_".join(a))
+    def test_one_check_per_wall(self, source, capsys, monkeypatch):
+        closures = []
+        closure = cli.dynamics._directional_closure
+
+        def counted(*args, **kwargs):
+            closures.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(cli.dynamics, "_directional_closure", counted)
+        p = _summary(capsys, ["verify", *source])
+        assert len(closures) == 2  # the left and the right closure of the construction check
+        monkeypatch.undo()
+        wall = cli._wall_from_config(parse_config(["verify", *source]))
+        assert p["data"] == cli.dynamics.verify_wall(wall.U, wall.layout).summary()
 
 
 class TestBenchmarkOracle:

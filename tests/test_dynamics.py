@@ -42,10 +42,10 @@ from wallkit.dynamics import (
 from wallkit.walls import (
     PAULI,
     PRESET_NAMES,
-    WallSpec,
     conditional_unitary,
     pauli_string,
     preset_wall,
+    resolve_central_algebra,
     synth_wall,
 )
 
@@ -123,7 +123,7 @@ class TestVerifyWall:
             if k % 2:
                 U = haar_unitary(8, g)
             else:
-                U = synth_wall(WallSpec(lay, "diag", seed=100 + k)).U
+                U = synth_wall(lay, resolve_central_algebra("diag", lay), seed=100 + k).U
             rep = verify_wall(U, lay)
             assert rep.left == rep.right
 
@@ -293,6 +293,11 @@ ORACLE_WALLS = (
 )
 
 
+def _diag_wall(seed):
+    lay = SystemLayout.tripartite(2, (2, 2), 2)
+    return synth_wall(lay, resolve_central_algebra("diag", lay), seed=seed)
+
+
 class TestInvariantAlgebras:
     def test_abelian_pair(self):
         wall = preset_wall("abelian-pair")
@@ -327,7 +332,7 @@ class TestInvariantAlgebras:
     )
     def test_lifts_re_extract_to_the_central_factors(self, name, dims, seed):
         if name == "diag":
-            wall = synth_wall(WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "diag", seed=seed))
+            wall = _diag_wall(seed)
         else:
             wall = preset_wall(name, dims=dims)
         layout = wall.layout
@@ -397,7 +402,7 @@ class TestConserved:
 
     @pytest.mark.parametrize("seed", [40, 41])
     def test_matches_full_space_oracle_on_diag_walls(self, seed):
-        wall = synth_wall(WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "diag", seed=seed))
+        wall = _diag_wall(seed)
         inv = invariant_algebras(wall.U, wall.layout)
         assert equals(conserved_algebra(inv), _full_space_conserved(inv))
 

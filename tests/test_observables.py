@@ -1,6 +1,8 @@
 """Observable-level tests: Schmidt data, the entanglement area law,
 measurement protocols, and the spectral form factor."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from wallkit.observables import (
 from wallkit.blocks import decompose
 from wallkit.walls import (
     PAULI,
-    WallSpec,
     pauli_string,
     preset_wall,
     resolve_central_algebra,
@@ -67,6 +68,10 @@ class TestSchmidt:
         assert np.allclose(sd.singular_values[:2], 1 / np.sqrt(2))
         assert abs(sd.entropy_bits() - 1.0) < 1e-12
 
+    def test_product_state_entropy_is_plus_zero(self):
+        sd = schmidt(_basis_state(SystemLayout((2, 2)), 0), 1)
+        assert sd.entropy_bits() == 0.0 and math.copysign(1.0, sd.entropy_bits()) == 1.0
+
     def test_haar_state_full_rank(self):
         lay = SystemLayout((2, 2))
         g = SeededRng(4).generator()
@@ -95,8 +100,8 @@ class TestAreaLaw:
         assert rep.passed and rep.bound == 4
 
     def test_trivial_wall_rank_one(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), [np.eye(2)], seed=7)
-        wall = synth_wall(spec)
+        lay = SystemLayout.tripartite(2, (2,), 2)
+        wall = synth_wall(lay, resolve_central_algebra([np.eye(2)], lay), seed=7)
         rep = verify_area_law(wall, random_product_state(wall.layout, SeededRng(8)), 20)
         assert rep.passed and rep.bound == 1 and rep.max_rank == 1
 
@@ -185,8 +190,8 @@ class TestProtocol:
         assert escaped >= 8
 
     def test_identity_wall_rank_stays_one(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), [np.eye(2)], seed=21)
-        wall = synth_wall(spec)
+        lay = SystemLayout.tripartite(2, (2,), 2)
+        wall = synth_wall(lay, resolve_central_algebra([np.eye(2)], lay), seed=21)
         psi = random_product_state(wall.layout, SeededRng(22))
         rec = measurement_protocol(wall, psi, Z, 8, SeededRng(23))
         assert all(r["rank"] == 1 for r in rec.rounds)
@@ -224,8 +229,8 @@ def _within(res, t, sigmas=4.0, floor=0.02):
 def _diag_blocks(seed):
     """Blocks of the diag central algebra on one qubit, decomposed with stream
     7 of ``seed``."""
-    spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag")
-    return decompose(resolve_central_algebra(spec), SeededRng(seed, 7)).blocks
+    lay = SystemLayout.tripartite(2, (2,), 2)
+    return decompose(resolve_central_algebra("diag", lay), SeededRng(seed, 7)).blocks
 
 
 class TestSFFMonteCarlo:

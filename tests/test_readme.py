@@ -2,17 +2,27 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
-from wallkit.cli import run
+from wallkit.cli import parse_config, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _example(heading: str) -> str:
+def _example(heading: str, lang: str = "python") -> str:
     text = README.read_text()
     section = text[text.index(heading) :]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_command_line_examples_parse():
+    # parse only: a flag the CLI no longer has fails here
+    block = _example("## Command line", "sh")
+    calls = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("wallkit ")]
+    assert len(calls) >= 4
+    for argv in calls:
+        assert parse_config(argv).command == argv[0]
 
 
 def test_quick_start_runs(capsys):

@@ -10,18 +10,18 @@ from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import dagger, embed, haar_unitary, kron
 from wallkit.algebra import close_algebra, contains, equals
 from wallkit.blocks import decompose, isomorphism_signature
-from wallkit import walls
 from wallkit.dynamics import invariant_algebras, verify_wall
 from wallkit.walls import (
     PAULI,
     PRESET_NAMES,
     PRESETS,
-    WallSpec,
+    WallUnitary,
     assemble_wall,
     conditional_unitary,
     pauli_string,
     preset_algebra,
     preset_wall,
+    resolve_central_algebra,
     synth_wall,
 )
 
@@ -88,10 +88,14 @@ def _permutation(wall):
     return recover_blocks(wall.U, wall.layout, wall.block_structure)[2]
 
 
+def _synth(center, alg, permutation=None, seed=0):
+    """``synth_wall`` on qubit edges around central sites ``center``."""
+    lay = SystemLayout.tripartite(2, center, 2)
+    return synth_wall(lay, resolve_central_algebra(alg, lay), permutation, seed)
+
+
 def _synth_pauli_wall():
-    wall = synth_wall(
-        WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "pauli:XI,ZX", seed=9)
-    )
+    wall = _synth((2, 2), "pauli:XI,ZX", seed=9)
     return wall.U, wall.layout, wall.block_structure
 
 
@@ -143,8 +147,7 @@ class TestConditionalUnitary:
 
 class TestSynthesis:
     def test_diag_wall_structure(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=4)
-        wall = synth_wall(spec)
+        wall = _synth((2,), "diag", seed=4)
         assert _is_unitary(wall.U)
         # a diagonal-control wall commutes with Z_C
         zc = embed(Z, (1,), wall.layout)
@@ -152,8 +155,7 @@ class TestSynthesis:
         assert not wall.trivial
 
     def test_full_wall_is_trivial_product(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "full", seed=5)
-        wall = synth_wall(spec)
+        wall = _synth((2,), "full", seed=5)
         assert wall.trivial
         # product across LC | R: operator-Schmidt rank 1
         M = wall.U.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 4)
@@ -161,8 +163,7 @@ class TestSynthesis:
         assert s[1] < 1e-9 * s[0]
 
     def test_identity_algebra_is_trivial_product(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), [np.eye(2)], seed=6)
-        wall = synth_wall(spec)
+        wall = _synth((2,), [np.eye(2)], seed=6)
         assert wall.trivial
         # product across L | CR
         M = wall.U.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3).reshape(4, 16)
@@ -170,20 +171,14 @@ class TestSynthesis:
         assert s[1] < 1e-9 * s[0]
 
     def test_permutation_between_equal_blocks(self):
-        spec = WallSpec(
-            SystemLayout.tripartite(2, (2,), 2), "diag", permutation=[1, 0], seed=7
-        )
-        wall = synth_wall(spec)
+        wall = _synth((2,), "diag", permutation=[1, 0], seed=7)
         assert _permutation(wall) == [1, 0]
 
     def test_permutation_between_unequal_blocks_rejected(self):
         # center algebra C (+) M_... : blocks (1,1) and (1,3) cannot swap
         gens = [np.diag([1.0, 0, 0, 0])]
-        spec = WallSpec(
-            SystemLayout.tripartite(2, (2, 2), 2), gens, permutation=[1, 0], seed=8
-        )
         with pytest.raises(ValueError, match="automorphism"):
-            synth_wall(spec)
+            _synth((2, 2), gens, permutation=[1, 0], seed=8)
 
     @pytest.mark.parametrize(
         "build", [_synth_pauli_wall, _given_blocks_wall], ids=["synth-pauli", "given-blocks"]
@@ -291,19 +286,10 @@ class TestCachedInvariants:
         assert "invariants" in vars(wall)  # kept from the check at construction
         _assert_same_invariants(wall)
 
-    def test_unverified_wall_computes_them_on_first_access(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2, 2), 2), "pauli:XI,ZX", seed=9)
-        wall = synth_wall(spec, verify=False)
-        assert "invariants" not in vars(wall)
-        _assert_same_invariants(wall)
-
     def test_construction_check_maps_only_the_non_wall(self):
-        spec = WallSpec(SystemLayout.tripartite(2, (2,), 2), "diag", seed=4)
-        wall = synth_wall(spec, verify=False)
-        wall.U = haar_unitary(wall.layout.dim, SeededRng(5))
+        wall = _synth((2,), "diag", seed=4)
+        parts = (wall.layout, wall.A_C, wall.block_structure)
         with pytest.raises(RuntimeError, match="failed the wall check"):
-            walls._assert_wall(wall)
-        wall = synth_wall(spec, verify=False)
-        wall.U = 2 * wall.U
+            WallUnitary(haar_unitary(wall.layout.dim, SeededRng(5)), *parts)
         with pytest.raises(ValueError, match="not unitary"):
-            walls._assert_wall(wall)
+            WallUnitary(2 * wall.U, *parts)
