@@ -202,23 +202,30 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    str(v) if isinstance(v, (int, np.integer, str)) else _fmt(v)
-                    for v in row
-                )
-                + "\n"
-            )
+    lines = [",".join(header)] + [
+        ",".join(str(v) if isinstance(v, (int, np.integer, str)) else _fmt(v) for v in row)
+        for row in rows
+    ]
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload):
     # encode first: a payload json cannot encode leaves no file behind
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_atomic(path, text: str):
+    """Write ``text`` to a new file beside ``path``, then rename it into
+    place: a failed write leaves the old file, if any, as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")  # mode 0o666 less the umask, as open(path, "w") gives
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _algebra_from_config(cfg: RunConfig):
@@ -323,7 +330,7 @@ def _cmd_synth(cfg):
         "dim": wall.layout.dim,
         "dimA": wall.A_C.dim,
         "blocks": [list(b) for b in wall.block_structure.blocks],
-        "trivial": bool(wall.trivial),
+        "trivial": bool(wall.invariants.improper),
     }
     artifact = {
         "U": np.stack([wall.U.real, wall.U.imag], axis=-1).tolist(),
@@ -437,11 +444,11 @@ def _cmd_scan(cfg):
 
 def _cmd_arealaw(cfg):
     wall = _wall_from_config(cfg)
-    g = SeededRng(cfg.seed, 31)
+    g = SeededRng(cfg.seed, 31).generator()
     worst_rank, bound = 0, wall.A_C.dim
     n_states = min(cfg.samples, AREALAW_MAX_STATES)
-    for k in range(n_states):
-        psi0 = observables.random_product_state(wall.layout, g.stream(31000 + k))
+    for _ in range(n_states):
+        psi0 = observables.random_product_state(wall.layout, g)
         rep = observables.verify_area_law(wall, psi0, cfg.t_max)
         worst_rank = max(worst_rank, rep.max_rank)
         if not rep.passed:

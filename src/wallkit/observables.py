@@ -16,8 +16,8 @@ from .algebra import cluster_eigenvalues, commutant, contains
 
 SCHMIDT_RANK_TOL = 1e-8
 CLUSTER_TOL = 1e-9  # relative eigenvalue clustering for measurement outcomes
-# complex Ginibre elements per chunk of SFF samples (64 KB): a chunk of the
-# whole run would grow peak memory with the sample count
+# complex Ginibre elements per chunk of one SFF size stack (64 KB): a chunk
+# of the whole run would grow peak memory with the sample count
 SFF_CHUNK_ELEMS = 4096
 
 
@@ -171,7 +171,8 @@ def measure(psi: PureState, M_C, rng, cluster_tol: float = CLUSTER_TOL) -> Measu
     g = as_generator(rng)
     pick = g.choice(np.flatnonzero(live), p=probs[live] / probs[live].sum())
     post = PureState(projected[pick] / np.sqrt(probs[pick]), layout)
-    return MeasureResult(values[pick], post, probs[pick], int(pick))
+    # rounding can put |P psi|^2 just above 1; report the probability clipped
+    return MeasureResult(values[pick], post, min(probs[pick], 1.0), int(pick))
 
 
 @dataclass
@@ -256,13 +257,13 @@ def sff_mc(blocks, d_L: int, d_R: int, t_max: int, samples: int, rng: SeededRng)
     Haar ensemble on dimension n is ``sff_mc([(1, 1)], n, 1, ...)``.  Traces
     are accumulated from block eigenvalues.
 
-    Sample ``s`` draws the Ginibre normals of all its blocks, block by block,
-    from its own stream ``1000 + s`` of ``rng``; QR, phase fix and eigenvalues
-    then run on one stack per block size and chunk of samples.  The result
-    equals sampling each block with ``haar_unitary`` in turn, bit for bit.
+    All draws come from ``rng.generator()``, one Ginibre stack per block
+    size (see ``_block_eigvals``).  ``blocks`` is sorted first, so the result
+    depends on the block signature and not on the order of the blocks.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    blocks = sorted(blocks)
     d = d_L * sum(dD * dE for dD, dE in blocks) * d_R
     sizes = []
     for dD, dE in blocks:
@@ -280,29 +281,23 @@ def sff_mc(blocks, d_L: int, d_R: int, t_max: int, samples: int, rng: SeededRng)
     return SFFResult(times, K, err, K_an, samples)
 
 
-def _block_eigvals(sizes, offsets, samples: int, base: SeededRng) -> np.ndarray:
+def _block_eigvals(sizes, offsets, samples: int, rng: SeededRng) -> np.ndarray:
     """(samples, offsets[-1]) eigenvalues of Haar block unitaries of the given
-    sizes, sample s drawn from stream 1000 + s."""
-    # blocks of one size share a stack; slots[k] = (size, index in its stack)
-    starts, slots = {}, []
-    for size, start in zip(sizes, offsets[:-1]):
-        slots.append((size, len(starts.setdefault(size, []))))
-        starts[size].append(start)
-    # eigenvalue columns of each stack, in stack order
-    cols = {n: np.concatenate([np.arange(o, o + n) for o in st]) for n, st in starts.items()}
-    chunk = max(1, SFF_CHUNK_ELEMS // sum(n * n for n in sizes))
-    re = {n: np.empty((chunk, len(st), n, n)) for n, st in starts.items()}
-    im = {n: np.empty((chunk, len(st), n, n)) for n, st in starts.items()}
+    sizes.  The blocks of one size n form one stack, drawn from the one
+    generator in ascending n, sample by sample and block by block, as
+    (n, n, 2) normals (real, imaginary); a chunk of samples then runs QR,
+    phase fix and ``eigvals`` together.  The draws do not depend on the
+    chunk size."""
+    g = rng.generator()
     eigs = np.empty((samples, offsets[-1]), dtype=np.complex128)
-    for s0 in range(0, samples, chunk):
-        m = min(chunk, samples - s0)
-        for j in range(m):
-            g = base.stream(1000 + s0 + j).generator()
-            for size, k in slots:
-                g.standard_normal(out=re[size][j, k])
-                g.standard_normal(out=im[size][j, k])
-        for n, c in cols.items():
-            z = (re[n][:m] + 1j * im[n][:m]) / np.sqrt(2)
-            u = haar_from_ginibre(z.reshape(-1, n, n))
-            eigs[s0 : s0 + m, c] = np.linalg.eigvals(u).reshape(m, -1)
+    for n in sorted(set(sizes)):
+        # eigenvalue columns of the stack, in block order
+        cols = np.concatenate([np.arange(o, o + n) for size, o in zip(sizes, offsets) if size == n])
+        count = sizes.count(n)
+        chunk = max(1, SFF_CHUNK_ELEMS // (count * n * n))
+        for s0 in range(0, samples, chunk):
+            m = min(chunk, samples - s0)
+            x = g.standard_normal((m * count, n, n, 2))
+            u = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
+            eigs[s0 : s0 + m, cols] = np.linalg.eigvals(u).reshape(m, -1)
     return eigs

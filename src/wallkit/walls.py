@@ -63,7 +63,8 @@ def resolve_central_algebra(alg, layout: SystemLayout, tol: float = RANK_TOL) ->
 class WallUnitary:
     """A wall unitary together with its structural data.  Construction runs
     the wall check once and keeps its report as ``invariants``; it raises
-    ``RuntimeError`` on a non-wall and ``ValueError`` on a non-unitary."""
+    ``ValueError`` on a non-unitary and ``RuntimeError`` on a non-wall or
+    when the declared ``A_C`` is not the wall's invariant A_C."""
 
     U: np.ndarray
     layout: SystemLayout
@@ -77,11 +78,12 @@ class WallUnitary:
             self.invariants = dynamics.invariant_algebras(self.U, self.layout)
         except dynamics.NotAWallError as exc:
             raise RuntimeError(f"synthesized unitary failed the wall check: {exc}") from exc
-
-    @property
-    def trivial(self) -> bool:
-        """A_C is 1 or all of M_C: an improper wall."""
-        return self.A_C.dim in (1, self.layout.d_center ** 2)
+        if not equals(self.A_C, self.invariants.A_C):
+            raise RuntimeError(
+                f"{self.name or 'synthesized'} wall failed the wall check: its declared A_C "
+                f"(dim {self.A_C.dim}) is not the wall's invariant A_C (dim "
+                f"{self.invariants.A_C.dim})"
+            )
 
 
 def assemble_wall(layout: SystemLayout, bs: BlockStructure, T_blocks, R_blocks, permutation=None) -> np.ndarray:
@@ -260,16 +262,9 @@ def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
     preset, layout = _preset_layout(name, dims)
     if preset.build is None:
         wall = synth_wall(layout, preset.central_algebra(), seed=seed)
-    else:
-        rng = SeededRng(seed, 101)
-        U = preset.build(preset, layout, rng.generator())
-        A_C = preset.central_algebra()
-        wall = WallUnitary(U, layout, A_C, decompose(A_C, rng))
-    if not equals(wall.A_C, wall.invariants.A_C):
-        raise RuntimeError(
-            f"{name} preset failed the wall check: its declared A_C (dim "
-            f"{wall.A_C.dim}) is not the wall's invariant A_C (dim {wall.invariants.A_C.dim})"
-        )
-    wall.name = name
-    return wall
-
+        wall.name = name
+        return wall
+    rng = SeededRng(seed, 101)
+    U = preset.build(preset, layout, rng.generator())
+    A_C = preset.central_algebra()
+    return WallUnitary(U, layout, A_C, decompose(A_C, rng), name)

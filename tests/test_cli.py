@@ -162,6 +162,54 @@ class TestArtifacts:
             run(argv)
         assert out.read_bytes() == b"old bytes\n"
 
+    @pytest.mark.parametrize("fail_in", ["format", "write"])
+    def test_failed_write_keeps_the_old_file(self, fail_in, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "m.csv"
+        out.write_bytes(b"old bytes\n")
+        if fail_in == "format":
+            calls = []
+
+            def fmt(x):  # the fifth number cannot be formatted
+                calls.append(x)
+                if len(calls) == 5:
+                    raise RuntimeError("cannot format")
+                return repr(float(x))
+
+            monkeypatch.setattr(cli, "_fmt", fmt)
+        else:
+            class HalfWritten:  # a file that fills up half way through
+                def __init__(self, fh):
+                    self.fh = fh
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.fh.close()
+
+                def write(self, text):
+                    self.fh.write(text[: len(text) // 2])
+                    self.fh.flush()
+                    raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cli, "open", lambda *a: HalfWritten(open(*a)), raising=False)
+        argv = ["measure", "--preset", "abelian-pair", "--observable", "Z", "--out", str(out)]
+        if fail_in == "format":
+            with pytest.raises(RuntimeError, match="cannot format"):
+                run(argv)
+        else:
+            assert _run(capsys, argv)[0] == 1
+        assert out.read_bytes() == b"old bytes\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["m.csv"]
+
+    def test_measured_probabilities_are_at_most_one(self, capsys, tmp_path):
+        # rounding put |P psi|^2 of row 5 at 1.0000000000000004
+        out = tmp_path / "m.csv"
+        argv = ["measure", "--preset", "abelian-pair", "--observable", "Z", "--seed", "0"]
+        _summary(capsys, argv + ["--out", str(out)])
+        probs = [float(ln.split(",")[2]) for ln in out.read_text().splitlines()[1:]]
+        assert len(probs) == 10 and max(probs) <= 1.0
+
     def test_json_artifact(self, capsys, tmp_path):
         out = tmp_path / "alg.json"
         _summary(capsys, ["close", "--generators", "Z", "--out", str(out)])

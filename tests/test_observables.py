@@ -8,7 +8,9 @@ import pytest
 
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit._kernels import trace_powers
-from wallkit.linalg import haar_unitary, kron
+from wallkit import observables
+from wallkit.cli import run
+from wallkit.linalg import haar_from_ginibre, haar_unitary, kron
 from wallkit.observables import (
     SFF_CHUNK_ELEMS,
     PureState,
@@ -264,24 +266,29 @@ class TestSFFMonteCarlo:
 
     @pytest.mark.parametrize("ensemble", ["reducible-composite", "haar"])
     def test_batched_matches_per_sample_loop(self, ensemble):
-        # reference: one haar_unitary per block, then eigvals, sample by sample
+        # reference: for each block size in ascending order, sample by sample
+        # and block by block, one (n, n, 2) Ginibre draw, QR and eigvals
         if ensemble == "haar":
             blocks, d_L, d_R = [(1, 1)], 4, 1
         else:
             wall = preset_wall(ensemble)
             blocks = wall.block_structure.blocks
             d_L, d_R = wall.layout.d_left, wall.layout.d_right
-        sizes = [n for dD, dE in blocks for n in (d_L * dD, dE * d_R)]
+        sizes = [n for dD, dE in sorted(blocks) for n in (d_L * dD, dE * d_R)]
         assert len(set(sizes)) > 1
-        chunk = SFF_CHUNK_ELEMS // sum(n * n for n in sizes)
-        samples = 2 * chunk + chunk // 2 + 1  # two full chunks and a partial one
+        # two full chunks and a partial one of the largest size stack
+        chunk = SFF_CHUNK_ELEMS // max(sizes.count(n) * n * n for n in sizes)
+        samples = 2 * chunk + chunk // 2 + 1
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         eigs = np.empty((samples, offsets[-1]), dtype=complex)
-        base = SeededRng(29)
-        for s in range(samples):
-            g = base.stream(1000 + s).generator()
-            for n, start in zip(sizes, offsets):
-                eigs[s, start : start + n] = np.linalg.eigvals(haar_unitary(n, g))
+        g = SeededRng(29).generator()
+        for n in sorted(set(sizes)):
+            for s in range(samples):
+                for size, start in zip(sizes, offsets):
+                    if size == n:
+                        x = g.standard_normal((n, n, 2))
+                        u = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
+                        eigs[s, start : start + n] = np.linalg.eigvals(u)
         per_sample = trace_powers(eigs, offsets, 12)
 
         res = sff_mc(blocks, d_L, d_R, t_max=12, samples=samples, rng=SeededRng(29))
@@ -289,6 +296,38 @@ class TestSFFMonteCarlo:
         assert np.array_equal(
             res.stderr[1:], per_sample.std(axis=0, ddof=1) / np.sqrt(samples)
         )
+
+    def test_chunk_size_does_not_change_output(self, monkeypatch):
+        def draw():
+            res = sff_mc([(1, 2), (2, 1)], 2, 3, t_max=10, samples=300, rng=SeededRng(30))
+            return res.K_mc, res.stderr
+
+        before = draw()
+        monkeypatch.setattr(observables, "SFF_CHUNK_ELEMS", 16)
+        after = draw()
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_block_order_does_not_change_output(self):
+        blocks = [(1, 2), (2, 1)]
+        a = sff_mc(blocks, 2, 3, t_max=10, samples=200, rng=SeededRng(31))
+        b = sff_mc(blocks[::-1], 2, 3, t_max=10, samples=200, rng=SeededRng(31))
+        for name in ("K_mc", "stderr", "K_analytic"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_sff_call_builds_two_generators(self, monkeypatch, capsys):
+        # one for decompose (stream 7), one for every draw (stream 51)
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        argv = ["sff", "--preset", "abelian-pair", "--samples", "1000", "--t-max", "8"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert len(built) <= 2
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):

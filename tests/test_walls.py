@@ -152,11 +152,11 @@ class TestSynthesis:
         # a diagonal-control wall commutes with Z_C
         zc = embed(Z, (1,), wall.layout)
         assert np.max(np.abs(wall.U @ zc - zc @ wall.U)) < 1e-9
-        assert not wall.trivial
+        assert not wall.invariants.improper
 
     def test_full_wall_is_trivial_product(self):
         wall = _synth((2,), "full", seed=5)
-        assert wall.trivial
+        assert wall.invariants.improper
         # product across LC | R: operator-Schmidt rank 1
         M = wall.U.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 4)
         s = np.linalg.svd(M, compute_uv=False)
@@ -164,7 +164,7 @@ class TestSynthesis:
 
     def test_identity_algebra_is_trivial_product(self):
         wall = _synth((2,), [np.eye(2)], seed=6)
-        assert wall.trivial
+        assert wall.invariants.improper
         # product across L | CR
         M = wall.U.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3).reshape(4, 16)
         s = np.linalg.svd(M, compute_uv=False)
@@ -173,6 +173,13 @@ class TestSynthesis:
     def test_permutation_between_equal_blocks(self):
         wall = _synth((2,), "diag", permutation=[1, 0], seed=7)
         assert _permutation(wall) == [1, 0]
+
+    def test_declared_algebra_mismatch_raises(self):
+        # a diag wall's U keeps diag(Z_C); declaring only the scalars must fail
+        wall = _synth((2,), "diag", seed=4)
+        scalars = close_algebra([I2], SystemLayout((2,)))
+        with pytest.raises(RuntimeError, match="declared A_C"):
+            WallUnitary(wall.U, wall.layout, scalars, wall.block_structure)
 
     def test_permutation_between_unequal_blocks_rejected(self):
         # center algebra C (+) M_... : blocks (1,1) and (1,3) cannot swap
@@ -265,7 +272,7 @@ class TestPresets:
             preset_wall("abelian-pair")
 
     def test_trivial_follows_central_algebra(self):
-        assert not any(preset_wall(name).trivial for name in PRESET_NAMES)
+        assert not any(preset_wall(name).invariants.improper for name in PRESET_NAMES)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown preset"):
