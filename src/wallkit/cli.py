@@ -452,9 +452,11 @@ def _cmd_arealaw(cfg):
         rep = observables.verify_area_law(wall, psi0, cfg.t_max)
         worst_rank = max(worst_rank, rep.max_rank)
         if not rep.passed:
+            blocks = [{k: b[k] for k in ("block", "bound", "violations")}
+                      for b in rep.block_results if b["violations"]]
             raise PropertyViolation(
                 "area-law bound violated",
-                {"bound": bound, "violations": rep.violations},
+                {"bound": bound, "violations": rep.violations, "block_violations": blocks},
             )
     data = {"bound": bound, "max_rank": worst_rank, "states": n_states, "t_max": cfg.t_max}
     return data, None

@@ -524,7 +524,7 @@ def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2, tol: float 
     n = len(site_dims)
     U = _check_unitary(brickwork_unitary(site_dims, even_gates, odd_gates), prod(site_dims))
     records = []
-    for width in range(1, max_width + 1):
+    for width in range(1, min(max_width, n - 2) + 1):  # wider windows leave L or R empty
         for start in range(1, n - width):
             layout = SystemLayout.chain(site_dims, start, width)
             rep = _verify_wall(U, layout, tol)

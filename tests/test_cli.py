@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wallkit import blocks, cli, walls
+from wallkit import blocks, cli, observables, walls
 from wallkit.cli import COMMANDS, FLAGS, UsageError, parse_config, run
 from wallkit.layout import SeededRng
 from wallkit.observables import sff_mc
@@ -733,3 +734,34 @@ class TestBenchmarkOracle:
             importlib.import_module(module)
             owner, attr = tracer._resolve(module, path)
             assert callable(getattr(owner, attr, None)), prefix
+
+
+class TestScanWidthCap:
+    def test_huge_max_width_runs_only_real_windows(self, capsys, tmp_path):
+        rows = {}
+        for width in ("2", "1000000000000"):
+            out = tmp_path / f"scan{width}.csv"
+            t0 = time.monotonic()
+            _summary(capsys, ["scan", "--chain-sites", "4", "--max-width", width, "--out", str(out)])
+            rows[width] = (out.read_bytes(), time.monotonic() - t0)
+        assert rows["1000000000000"][0] == rows["2"][0]
+        assert rows["1000000000000"][1] < 1.0
+
+
+class TestArealawBlockViolations:
+    def test_block_only_failure_is_listed(self, capsys, monkeypatch):
+        report = observables.AreaLawReport(
+            t_max=3, bound=2, max_rank=2, violations=[],
+            block_results=[
+                {"block": 0, "bound": 1, "max_rank": 1, "violations": [], "weight": 0.6},
+                {"block": 1, "bound": 1, "max_rank": 2, "violations": [(2, 2), (3, 2)],
+                 "weight": 0.8},
+            ],
+        )
+        monkeypatch.setattr(cli.observables, "verify_area_law", lambda *a, **k: report)
+        p = _summary(capsys, ["arealaw", "--preset", "abelian-pair", "--t-max", "3"], expect_code=2)
+        assert p["status"] == "property-violation"
+        assert p["data"]["violations"] == []
+        assert p["data"]["block_violations"] == [
+            {"block": 1, "bound": 1, "violations": [[2, 2], [3, 2]]}
+        ]

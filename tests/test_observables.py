@@ -2,6 +2,7 @@
 measurement protocols, and the spectral form factor."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wallkit.cli import run
 from wallkit.linalg import haar_from_ginibre, haar_unitary, kron
 from wallkit.observables import (
     SFF_CHUNK_ELEMS,
+    AreaLawReport,
     PureState,
     classify_observable,
     evolve_state,
@@ -27,6 +29,7 @@ from wallkit.observables import (
 from wallkit.blocks import decompose
 from wallkit.walls import (
     PAULI,
+    PRESET_NAMES,
     pauli_string,
     preset_wall,
     resolve_central_algebra,
@@ -113,6 +116,113 @@ class TestAreaLaw:
         v[0] = v[10] = 1 / np.sqrt(2)
         with pytest.raises(ValueError):
             verify_area_law(wall, PureState(v, wall.layout), 5)
+
+
+def _area_law_oracle(wall, psi0, t_max):
+    """The per-state step loop: a full-space projector per block, then one
+    ``evolve_state`` and one ``schmidt`` per state and step."""
+    layout = wall.layout
+    cut = len(layout.left)
+
+    def trajectory(psi, bound):
+        max_rank, violations = 0, []
+        for t in range(t_max + 1):
+            r = schmidt(psi, cut).rank
+            max_rank = max(max_rank, r)
+            if r > bound:
+                violations.append((t, r))
+            if t < t_max:
+                psi = evolve_state(wall.U, psi, 1)
+        return max_rank, violations
+
+    bs = wall.block_structure
+    block_results = []
+    for i, ((dD, _), P) in enumerate(zip(bs.blocks, bs.central_projectors)):
+        proj = kron(kron(np.eye(layout.d_left), P), np.eye(layout.d_right))
+        amps = proj @ psi0.amplitudes
+        weight = np.linalg.norm(amps)
+        b_max, b_viol = 0, []
+        if weight >= 1e-8:
+            b_max, b_viol = trajectory(PureState(amps / weight, layout), dD * dD)
+        block_results.append(
+            {"block": i, "bound": dD * dD, "max_rank": b_max, "violations": b_viol,
+             "weight": float(weight)}
+        )
+    return AreaLawReport(t_max, wall.A_C.dim, *trajectory(psi0, wall.A_C.dim), block_results)
+
+
+def _assert_same_report(rep, ref):
+    assert (rep.t_max, rep.bound, rep.max_rank, rep.violations) == (
+        ref.t_max, ref.bound, ref.max_rank, ref.violations
+    )
+    assert len(rep.block_results) == len(ref.block_results)
+    for b, r in zip(rep.block_results, ref.block_results):
+        assert abs(b["weight"] - r["weight"]) < 1e-12
+        assert {k: v for k, v in b.items() if k != "weight"} == {
+            k: v for k, v in r.items() if k != "weight"
+        }
+
+
+def _area_law_walls():
+    for name in PRESET_NAMES:
+        yield preset_wall(name)
+        if name != "fswap":
+            yield preset_wall(name, dims=(3, 4))
+    lay = SystemLayout.tripartite(2, (2, 2), 3)
+    for alg in ("diag", "full", "pauli:XI,ZX"):
+        yield synth_wall(lay, resolve_central_algebra(alg, lay), seed=3)
+
+
+class TestAreaLawOracle:
+    """The one-pass check equals the per-state step loop, report for report."""
+
+    def test_walls(self):
+        for k, wall in enumerate(_area_law_walls()):
+            for j in range(3):
+                psi0 = random_product_state(wall.layout, SeededRng(40, 10 * k + j))
+                _assert_same_report(verify_area_law(wall, psi0, 20), _area_law_oracle(wall, psi0, 20))
+
+    def test_empty_block(self):
+        wall = preset_wall("abelian-pair")
+        g = SeededRng(41).generator()
+        edge = [g.standard_normal(2) + 1j * g.standard_normal(2) for _ in range(2)]
+        v = kron(kron(edge[0], [1, 0]), edge[1])
+        psi0 = PureState(v / np.linalg.norm(v), wall.layout)
+        rep = verify_area_law(wall, psi0, 10)
+        assert sorted(b["weight"] for b in rep.block_results) == [0.0, pytest.approx(1.0)]
+        empty = min(rep.block_results, key=lambda b: b["weight"])
+        assert empty["max_rank"] == 0 and empty["violations"] == []
+        _assert_same_report(rep, _area_law_oracle(wall, psi0, 10))
+
+    def test_haar_violations(self):
+        wall = preset_wall("abelian-pair", dims=(3, 4))
+        fake = SimpleNamespace(
+            U=haar_unitary(wall.layout.dim, SeededRng(42)), layout=wall.layout,
+            A_C=wall.A_C, block_structure=wall.block_structure,
+        )
+        psi0 = random_product_state(wall.layout, SeededRng(43))
+        rep = verify_area_law(fake, psi0, 8)
+        assert rep.violations and all(b["violations"] for b in rep.block_results)
+        _assert_same_report(rep, _area_law_oracle(fake, psi0, 8))
+
+    def test_state_evolves_by_U_not_its_transpose(self):
+        # U = (H on L) CNOT(L -> C) keeps |0>|c>|r> a product for one step;
+        # U^T = CNOT (H on L) entangles it at once
+        wall = preset_wall("abelian-pair")
+        H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        U = kron(H, np.eye(4)) @ kron(cnot, np.eye(2))
+        fake = SimpleNamespace(
+            U=U, layout=wall.layout, A_C=SimpleNamespace(dim=1),
+            block_structure=wall.block_structure,
+        )
+        g = SeededRng(44).generator()
+        c, r = (g.standard_normal(2) + 1j * g.standard_normal(2) for _ in range(2))
+        v = kron(kron([1, 0], c), r)
+        psi0 = PureState(v / np.linalg.norm(v), wall.layout)
+        rep = verify_area_law(fake, psi0, 4)
+        assert rep.violations[0] == (2, 2)
+        _assert_same_report(rep, _area_law_oracle(fake, psi0, 4))
 
 
 class TestMeasure:
