@@ -20,7 +20,6 @@ from .linalg import (
 )
 from .algebra import (
     MatrixAlgebra,
-    OperatorSpace,
     center,
     close_algebra,
     commutant,

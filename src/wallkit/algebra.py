@@ -19,13 +19,20 @@ from .linalg import (
     projector_onto,
 )
 
+# largest stacked commutator superoperator (k d^4 elements, 1 GB complex)
+# solved directly; bigger stacks take the Gram route
+DIRECT_KERNEL_ELEMS = 2**26
+
 
 @dataclass
-class OperatorSpace:
-    """Linear span of operators, stored as a stacked HS-orthonormal basis."""
+class MatrixAlgebra:
+    """Unital span of operators closed under products and adjoints, stored as
+    a stacked HS-orthonormal basis; intersections, commutants and centers of
+    such spans are again of this type."""
 
     basis: np.ndarray  # (k, d, d), pairwise HS-orthonormal
     layout: SystemLayout
+    generators: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=complex)
@@ -50,36 +57,8 @@ class OperatorSpace:
             "basis": [
                 np.stack([b.real, b.imag], axis=-1).tolist() for b in self.basis
             ],
+            "unital": True,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OperatorSpace":
-        layout = SystemLayout(tuple(data["layout"]))
-        mats = [np.asarray(b)[..., 0] + 1j * np.asarray(b)[..., 1] for b in data["basis"]]
-        return cls(np.asarray(mats), layout)
-
-
-@dataclass
-class MatrixAlgebra:
-    """OperatorSpace that is unital and closed under products and adjoints."""
-
-    space: OperatorSpace
-    generators: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.space.basis
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @property
-    def layout(self) -> SystemLayout:
-        return self.space.layout
-
-    def to_json(self) -> dict:
-        return self.space.to_json() | {"unital": True}
 
 
 def _pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,7 +82,7 @@ def close_algebra(generators, layout: SystemLayout, tol: float = RANK_TOL) -> Ma
         new = orthonormal_basis(np.concatenate([basis, prods]), tol)
         if len(new) == len(basis):
             gen_stack = np.asarray(gens) if gens else None
-            return MatrixAlgebra(OperatorSpace(new, layout), generators=gen_stack)
+            return MatrixAlgebra(new, layout, generators=gen_stack)
         basis = new
     raise RuntimeError("algebra closure failed to stabilize (numerical drift)")
 
@@ -117,7 +96,7 @@ def _commutator_kernel(gens: np.ndarray, tol: float) -> np.ndarray:
     """
     k, d, _ = gens.shape
     eye = np.eye(d)
-    if k * d**4 <= 2**26:
+    if k * d**4 <= DIRECT_KERNEL_ELEMS:
         rows = np.concatenate(
             [np.kron(g, eye) - np.kron(eye, g.T) for g in gens], axis=0
         )
@@ -147,16 +126,15 @@ def commutant(alg: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
         gens = alg.basis
     kernel = _commutator_kernel(np.asarray(gens, dtype=complex), tol)
     basis = orthonormal_basis(kernel, tol)
-    return MatrixAlgebra(OperatorSpace(basis, alg.layout))
+    return MatrixAlgebra(basis, alg.layout)
 
 
 def center(alg: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
     """Z(A) = A intersected with its commutant."""
-    space = intersect(alg.space, commutant(alg, tol).space, tol)
-    return MatrixAlgebra(space)
+    return intersect(alg, commutant(alg, tol), tol)
 
 
-def intersect(a: OperatorSpace, b: OperatorSpace, tol: float = RANK_TOL) -> OperatorSpace:
+def intersect(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
     """Intersection of spans via the stacked (1-P_a; 1-P_b) nullspace."""
     if a.layout.site_dims != b.layout.site_dims:
         raise ValueError("operator spaces live on different layouts")
@@ -165,26 +143,24 @@ def intersect(a: OperatorSpace, b: OperatorSpace, tol: float = RANK_TOL) -> Oper
     stacked = np.concatenate([eye - projector_onto(a.basis), eye - projector_onto(b.basis)])
     vecs = nullspace(stacked, tol)
     basis = orthonormal_basis(vecs.T.reshape(-1, d, d), tol)
-    return OperatorSpace(basis, a.layout)
+    return MatrixAlgebra(basis, a.layout)
 
 
-def contains(space: OperatorSpace, O: np.ndarray, tol: float = RANK_TOL) -> bool:
+def contains(alg: MatrixAlgebra, O: np.ndarray, tol: float = RANK_TOL) -> bool:
     """Membership by relative projection residual; the zero operator is a member."""
     O = np.asarray(O, dtype=complex)
     norm = hs_norm(O)
     if norm < ZERO_TOL:
         return True
-    return hs_norm(O - space.project(O)) / norm < tol
+    return hs_norm(O - alg.project(O)) / norm < tol
 
 
-def equals(a, b, tol: float = 1e-8) -> bool:
+def equals(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = 1e-8) -> bool:
     """Span equality by mutual containment of bases."""
-    sa = a.space if isinstance(a, MatrixAlgebra) else a
-    sb = b.space if isinstance(b, MatrixAlgebra) else b
-    if sa.dim != sb.dim:
+    if a.dim != b.dim:
         return False
-    return all(contains(sb, x, tol) for x in sa.basis) and all(
-        contains(sa, x, tol) for x in sb.basis
+    return all(contains(b, x, tol) for x in a.basis) and all(
+        contains(a, x, tol) for x in b.basis
     )
 
 
@@ -213,7 +189,7 @@ def left_blocks(X: np.ndarray, d_left: int) -> np.ndarray:
 
 
 def extract_central_factor(
-    space: OperatorSpace, layout: SystemLayout, tol: float = RANK_TOL
+    span: MatrixAlgebra, layout: SystemLayout, tol: float = RANK_TOL
 ) -> MatrixAlgebra:
     """Given M_L (x) 1 <= span <= M_L (x) M_C (x) 1_R, return the central
     factor A_C with span = M_L (x) A_C (x) 1_R.
@@ -230,9 +206,9 @@ def extract_central_factor(
         for j in range(d_L):
             u = np.zeros((d_L, d_L))
             u[i, j] = 1.0
-            if not contains(space, np.kron(u, eye_rest), 1e-8):
+            if not contains(span, np.kron(u, eye_rest), 1e-8):
                 raise ValueError("span does not contain the full left matrix algebra")
-    blocks = np.concatenate([left_blocks(x, d_L) for x in space.basis])
+    blocks = np.concatenate([left_blocks(x, d_L) for x in span.basis])
     if d_R > 1:
         # strip the trailing identity factor: each block must be c (x) 1_R
         shaped = blocks.reshape(-1, d_C, d_R, d_C, d_R)
@@ -249,8 +225,8 @@ def extract_central_factor(
 
     cdims = layout.center_dims if prod(layout.center_dims) == d_C else (d_C,)
     alg = close_algebra(c_basis, SystemLayout(cdims), tol)
-    if d_L * d_L * alg.dim != space.dim:
+    if d_L * d_L * alg.dim != span.dim:
         raise ValueError(
-            f"not of product form: dim {space.dim} != {d_L}^2 * {alg.dim}"
+            f"not of product form: dim {span.dim} != {d_L}^2 * {alg.dim}"
         )
     return alg

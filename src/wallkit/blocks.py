@@ -17,7 +17,6 @@ from .linalg import (
 )
 from .algebra import (
     MatrixAlgebra,
-    OperatorSpace,
     close_algebra,
     cluster_eigenvalues,
 )
@@ -214,7 +213,7 @@ def reconstruct(bs: BlockStructure, tol: float = RANK_TOL) -> MatrixAlgebra:
                 full[off : off + dD * dE, off : off + dD * dE] = np.kron(u, np.eye(dE))
                 mats.append(bs.V @ full @ dagger(bs.V))
     basis = orthonormal_basis(np.asarray(mats), tol)
-    return MatrixAlgebra(OperatorSpace(basis, bs.layout))
+    return MatrixAlgebra(basis, bs.layout)
 
 
 def isomorphism_signature(bs: BlockStructure) -> tuple[tuple[int, int], ...]:

@@ -126,16 +126,23 @@ def _has_kind(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _read(key: str, value):
+    """``value`` with the comma string of an "ints" key read as a list;
+    any other value as it is."""
+    if FLAGS[key].kind == "ints" and isinstance(value, str):
+        try:
+            return [int(x) for x in value.split(",")]
+        except ValueError:
+            pass
+    return value
+
+
 def _checked(key: str, value):
     """``value`` for config key ``key`` if it has the key's type and range."""
     flag, name = FLAGS[key], "--" + key.replace("_", "-")
     if value is None and flag.default is None:
         return None
-    if flag.kind == "ints" and isinstance(value, str):
-        try:
-            value = [int(x) for x in value.split(",")]
-        except ValueError:
-            pass
+    value = _read(key, value)
     if not _has_kind(value, flag.kind):
         raise UsageError(f"{name} must be {_KIND_NAMES[flag.kind]}, got {value!r}")
     if flag.choices is not None and value not in flag.choices:
@@ -181,7 +188,7 @@ def parse_config(argv) -> RunConfig:
     for key in keys:
         flag_val = getattr(ns, key)
         if flag_val is not None:
-            if key in file_values and file_values[key] != flag_val:
+            if key in file_values and _read(key, file_values[key]) != _read(key, flag_val):
                 print(
                     f"warning: flag --{key.replace('_', '-')} overrides config value",
                     file=sys.stderr,

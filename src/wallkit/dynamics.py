@@ -20,7 +20,6 @@ from .linalg import (
 )
 from .algebra import (
     MatrixAlgebra,
-    OperatorSpace,
     close_algebra,
     commutant,
     intersect,
@@ -331,8 +330,8 @@ def _verify_wall(U: np.ndarray, layout: SystemLayout, tol: float) -> WallReport:
     left, s_l, a_basis = _directional_closure(U, layout, tol)
     right, s_r, b_basis = _directional_closure(_swap_edges(U[None], layout)[0], swapped, tol)
     c_layout = SystemLayout(layout.center_dims)
-    A_C = MatrixAlgebra(OperatorSpace(a_basis, c_layout)) if left else None
-    B_C = MatrixAlgebra(OperatorSpace(b_basis, c_layout)) if right else None
+    A_C = MatrixAlgebra(a_basis, c_layout) if left else None
+    B_C = MatrixAlgebra(b_basis, c_layout) if right else None
     return WallReport(left, right, s_l, s_r, layout, A_C, B_C)
 
 
@@ -341,7 +340,7 @@ def _lift_factors(left, center, right, layout: SystemLayout) -> MatrixAlgebra:
     Kronecker products of HS-orthonormal stacks are HS-orthonormal, so they
     are the basis as they stand."""
     prods = np.einsum("iab,jce,kfg->ijkacfbeg", left, center, right)
-    return MatrixAlgebra(OperatorSpace(prods.reshape(-1, layout.dim, layout.dim), layout))
+    return MatrixAlgebra(prods.reshape(-1, layout.dim, layout.dim), layout)
 
 
 def _edge_basis(d: int, full: bool) -> np.ndarray:
@@ -377,7 +376,7 @@ def conserved_algebra(inv: WallReport, tol: float = RANK_TOL) -> MatrixAlgebra:
     superoperator on the full space.  Every returned element is checked to
     commute with both central factors.
     """
-    joint = intersect(commutant(inv.A_C, tol).space, commutant(inv.B_C, tol).space, tol)
+    joint = intersect(commutant(inv.A_C, tol), commutant(inv.B_C, tol), tol)
     # all bases are HS-orthonormal, so these commutator norms are relative
     factors = np.concatenate([inv.A_C.basis, inv.B_C.basis])
     comms = np.einsum("iab,jbc->ijac", joint.basis, factors) - np.einsum(
@@ -389,12 +388,12 @@ def conserved_algebra(inv: WallReport, tol: float = RANK_TOL) -> MatrixAlgebra:
             f"conserved element fails to commute with the central factors "
             f"(residual {residual:.2e}; numerical failure)"
         )
-    return MatrixAlgebra(OperatorSpace(joint.basis, SystemLayout(inv.layout.center_dims)))
+    return joint
 
 
 @dataclass
 class GaugedSequenceReport:
-    spaces: list[OperatorSpace]
+    spaces: list[MatrixAlgebra]
     signatures: list[tuple]
     all_equal: bool
 
@@ -411,28 +410,22 @@ def gauged_sequence(wall, gauges, rng=None, tol: float = RANK_TOL) -> GaugedSequ
     G0 = np.asarray(gauges[0], dtype=complex)
     for x in lbar.basis:
         moved = G0 @ x @ dagger(G0)
-        if hs_norm(moved - lbar.space.project(moved)) > 1e-9:
+        if hs_norm(moved - lbar.project(moved)) > 1e-9:
             raise ValueError("G_0 does not preserve the left-invariant algebra")
     current = MatrixAlgebra(
-        OperatorSpace(
-            orthonormal_basis(
-                np.asarray([G0 @ x @ dagger(G0) for x in lbar.basis]), tol
-            ),
-            layout,
-        )
+        orthonormal_basis(np.asarray([G0 @ x @ dagger(G0) for x in lbar.basis]), tol),
+        layout,
     )
     rng = as_generator(rng if rng is not None else 0)
-    spaces = [current.space]
+    spaces = [current]
     signatures = [isomorphism_signature(decompose(current, rng))]
     for tau in range(1, len(gauges)):
         Ut = dagger(np.asarray(gauges[tau], dtype=complex)) @ U @ np.asarray(
             gauges[tau - 1], dtype=complex
         )
         moved = np.asarray([Ut @ x @ dagger(Ut) for x in current.basis])
-        current = MatrixAlgebra(
-            OperatorSpace(orthonormal_basis(moved, tol), layout)
-        )
-        spaces.append(current.space)
+        current = MatrixAlgebra(orthonormal_basis(moved, tol), layout)
+        spaces.append(current)
         signatures.append(isomorphism_signature(decompose(current, rng)))
     return GaugedSequenceReport(spaces, signatures, all(s == signatures[0] for s in signatures))
 
@@ -458,7 +451,7 @@ class FragmentDecomposition:
 
 def fragment_decomposition(inv: WallReport) -> FragmentDecomposition:
     """Sector dimensions of the central operator-space splitting."""
-    I = intersect(inv.A_C.space, inv.B_C.space)
+    I = intersect(inv.A_C, inv.B_C)
     d2 = inv.layout.dim ** 2
     dim_I = I.dim
     dim_L = inv.dim_Lbar - dim_I

@@ -187,9 +187,9 @@ class MeasurementRecord:
 
 def classify_observable(wall, M_C, tol: float = 1e-9) -> str:
     """Whether the observable lies in A_C, in its commutant, or in neither."""
-    if contains(wall.A_C.space, M_C, tol):
+    if contains(wall.A_C, M_C, tol):
         return "central"
-    if contains(commutant(wall.A_C).space, M_C, tol):
+    if contains(commutant(wall.A_C), M_C, tol):
         return "commutant"
     return "neither"
 

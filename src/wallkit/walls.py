@@ -63,8 +63,9 @@ def resolve_central_algebra(alg, layout: SystemLayout, tol: float = RANK_TOL) ->
 class WallUnitary:
     """A wall unitary together with its structural data.  Construction runs
     the wall check once and keeps its report as ``invariants``; it raises
-    ``ValueError`` on a non-unitary and ``RuntimeError`` on a non-wall or
-    when the declared ``A_C`` is not the wall's invariant A_C."""
+    ``ValueError`` on a non-unitary or a non-scalar ``A_C`` over a
+    one-dimensional L, and ``RuntimeError`` on a non-wall or when the
+    declared ``A_C`` is not the wall's invariant A_C."""
 
     U: np.ndarray
     layout: SystemLayout
@@ -74,6 +75,12 @@ class WallUnitary:
     invariants: dynamics.WallReport = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.layout.d_left == 1 and self.A_C.dim > 1:
+            # the orbit of M_L = C 1 is the scalars, so the invariant A_C is too
+            raise ValueError(
+                f"a one-dimensional left edge admits only the scalar A_C, "
+                f"not one of dim {self.A_C.dim}"
+            )
         try:
             self.invariants = dynamics.invariant_algebras(self.U, self.layout)
         except dynamics.NotAWallError as exc:

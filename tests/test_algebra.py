@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wallkit.layout import SystemLayout
+import wallkit
+import wallkit.algebra as algebra
+from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import kron, orthonormal_basis
 from wallkit.algebra import (
-    OperatorSpace,
+    MatrixAlgebra,
     center,
     close_algebra,
     commutant,
@@ -22,6 +24,21 @@ from wallkit.walls import PAULI, pauli_string
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L1 = SystemLayout((2,))
 L2 = SystemLayout((2, 2))
+
+
+def _random_generator_set(k):
+    """Generator set k of acceptance criterion 2."""
+    g = SeededRng(910, k).generator()
+    n_sites = 1 + k % 2
+    d, n_gens = 2**n_sites, 1 + k % 3
+    gens = g.standard_normal((n_gens, d, d)) + 1j * g.standard_normal((n_gens, d, d))
+    return gens, (2,) * n_sites
+
+
+KERNEL_CASES = [_random_generator_set(k) for k in range(5)] + [
+    ([pauli_string(s) for s in names.split(",")], (2,) * len(names.split(",")[0]))
+    for names in ("XI,ZX", "ZZ,XX", "XIZ,ZXI", "ZII,IZI")
+]
 
 
 def _matrix_units(d):
@@ -49,13 +66,13 @@ class TestClosure:
     def test_single_z(self):
         alg = close_algebra([Z], L1)
         assert alg.dim == 2
-        assert contains(alg.space, I2) and contains(alg.space, Z)
-        assert not contains(alg.space, X)
+        assert contains(alg, I2) and contains(alg, Z)
+        assert not contains(alg, X)
 
     def test_empty_generators(self):
         alg = close_algebra([], L1)
         assert alg.dim == 1
-        assert contains(alg.space, I2)
+        assert contains(alg, I2)
 
     def test_xi_zx_generates_dim4(self):
         gens = [pauli_string("XI"), pauli_string("ZX")]
@@ -63,9 +80,9 @@ class TestClosure:
         assert alg.dim == 4
         # brute-force oracle: the products close on {II, XI, YX, ZX}
         for lab in ("II", "XI", "YX", "ZX"):
-            assert contains(alg.space, pauli_string(lab))
+            assert contains(alg, pauli_string(lab))
         for lab in ("IX", "IZ", "ZI", "XX"):
-            assert not contains(alg.space, pauli_string(lab))
+            assert not contains(alg, pauli_string(lab))
 
     def test_shift_and_clock_full(self):
         lay = SystemLayout((3,))
@@ -99,7 +116,7 @@ class TestCommutant:
         com = commutant(alg)
         assert com.dim == 4
         for lab in ("II", "IX", "XZ", "XY"):
-            assert contains(com.space, pauli_string(lab))
+            assert contains(com, pauli_string(lab))
 
     def test_diagonal_self_commutant(self):
         lay = SystemLayout((3,))
@@ -109,6 +126,19 @@ class TestCommutant:
     def test_double_commutant_named(self):
         alg = close_algebra([pauli_string("XI"), pauli_string("ZX")], L2)
         assert equals(alg, commutant(commutant(alg)))
+
+    @pytest.mark.parametrize("from_basis", [False, True], ids=["generators", "basis"])
+    @pytest.mark.parametrize("case", range(len(KERNEL_CASES)))
+    def test_gram_route_matches_direct(self, case, from_basis, monkeypatch):
+        # the Gram route guards memory on stacks above DIRECT_KERNEL_ELEMS;
+        # with the bound at 0 it takes every stack
+        gens, dims = KERNEL_CASES[case]
+        alg = close_algebra(gens, SystemLayout(dims))
+        if from_basis:
+            alg = MatrixAlgebra(alg.basis, alg.layout)
+        direct = commutant(alg)
+        monkeypatch.setattr(algebra, "DIRECT_KERNEL_ELEMS", 0)
+        assert equals(direct, commutant(alg))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
     @settings(max_examples=10, deadline=None)
@@ -130,8 +160,8 @@ class TestCommutant:
         )
         lhs = commutant(joint)
         prod_basis = [kron(x, y) for x in commutant(a).basis for y in commutant(b).basis]
-        rhs = OperatorSpace(orthonormal_basis(prod_basis), L2)
-        assert equals(lhs.space, rhs)
+        rhs = MatrixAlgebra(orthonormal_basis(prod_basis), L2)
+        assert equals(lhs, rhs)
 
 
 class TestCenter:
@@ -163,32 +193,36 @@ class TestCenter:
 class TestSetAlgebra:
     def test_intersect_self(self):
         alg = close_algebra([Z], L1)
-        assert equals(OperatorSpace(alg.basis, L1), intersect(alg.space, alg.space))
+        assert equals(MatrixAlgebra(alg.basis, L1), intersect(alg, alg))
 
     def test_intersect_to_identity(self):
-        a = OperatorSpace(orthonormal_basis([I2, X]), L1)
-        b = OperatorSpace(orthonormal_basis([I2, Z]), L1)
+        a = MatrixAlgebra(orthonormal_basis([I2, X]), L1)
+        b = MatrixAlgebra(orthonormal_basis([I2, Z]), L1)
         out = intersect(a, b)
         assert out.dim == 1 and contains(out, I2)
 
     def test_contains_zero(self):
         alg = close_algebra([Z], L1)
-        assert contains(alg.space, np.zeros((2, 2)))
+        assert contains(alg, np.zeros((2, 2)))
 
     def test_equals_dim_mismatch(self):
         assert not equals(close_algebra([Z], L1), close_algebra([X, Z], L1))
 
+    def test_one_span_type(self):
+        assert not hasattr(wallkit, "OperatorSpace")
+
     def test_json_round_trip(self):
         alg = close_algebra([pauli_string("XI"), pauli_string("ZX")], L2)
-        back = OperatorSpace.from_json(
-            {"layout": alg.layout.to_json(), "basis": alg.space.to_json()["basis"]}
-        )
-        assert equals(alg.space, back)
+        data = alg.to_json()
+        mats = [np.asarray(b)[..., 0] + 1j * np.asarray(b)[..., 1] for b in data["basis"]]
+        back = MatrixAlgebra(np.asarray(mats), SystemLayout(tuple(data["layout"])))
+        assert data["unital"] is True
+        assert equals(alg, back)
 
 
 class TestCentralFactorExtraction:
     def _span(self, mats, layout):
-        return OperatorSpace(orthonormal_basis(mats), layout)
+        return MatrixAlgebra(orthonormal_basis(mats), layout)
 
     def test_trivial_center_factor(self):
         lay = SystemLayout.tripartite(2, (2,), 1)
@@ -201,7 +235,7 @@ class TestCentralFactorExtraction:
         mats = [kron(m, c) for m in _pauli_span(1) for c in (I2, Z)]
         out = extract_central_factor(self._span(mats, lay), lay)
         assert out.dim == 2
-        assert contains(out.space, Z)
+        assert contains(out, Z)
 
     def test_trailing_identity_stripped(self):
         lay = SystemLayout.tripartite(2, (2,), 2)

@@ -6,7 +6,7 @@ import pytest
 
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import dagger, haar_unitary
-from wallkit.algebra import MatrixAlgebra, OperatorSpace, close_algebra, commutant, equals
+from wallkit.algebra import MatrixAlgebra, close_algebra, commutant, equals
 from wallkit.blocks import decompose, isomorphism_signature, reconstruct
 from wallkit.walls import pauli_string
 
@@ -98,9 +98,7 @@ class TestFrameAction:
     def test_conjugation_invariance(self):
         base = close_algebra([pauli_string("XI"), pauli_string("ZX")], SystemLayout((2, 2)))
         W = haar_unitary(4, RNG.stream(12))
-        rotated = MatrixAlgebra(
-            OperatorSpace(np.einsum("ab,kbc,dc->kad", W, base.basis, W.conj()), base.layout)
-        )
+        rotated = MatrixAlgebra(np.einsum("ab,kbc,dc->kad", W, base.basis, W.conj()), base.layout)
         sig = isomorphism_signature(decompose(rotated, RNG.stream(13)))
         assert sig == ((2, 2),)
 
@@ -122,8 +120,6 @@ class TestReconstruct:
     def test_round_trip_haar_rotated(self):
         base = close_algebra([np.diag([0.0, 1, 1, 2])], SystemLayout((4,)))
         W = haar_unitary(4, RNG.stream(15))
-        rotated = MatrixAlgebra(
-            OperatorSpace(np.einsum("ab,kbc,dc->kad", W, base.basis, W.conj()), base.layout)
-        )
+        rotated = MatrixAlgebra(np.einsum("ab,kbc,dc->kad", W, base.basis, W.conj()), base.layout)
         bs = decompose(rotated, RNG.stream(16))
         assert equals(rotated, reconstruct(bs))

@@ -217,6 +217,13 @@ class TestArtifacts:
         payload = json.loads(out.read_text())
         assert len(payload["basis"]) == 2
 
+    def test_center_artifact_is_unital(self, capsys, tmp_path):
+        # the center comes from an intersection of two spans
+        out = tmp_path / "center.json"
+        _summary(capsys, ["center", "--generators", "ZZ,XX", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert payload["unital"] is True and len(payload["basis"]) == 4
+
 
 class TestErrors:
     def test_bad_pauli_letter(self, capsys):
@@ -267,6 +274,24 @@ class TestPrecedence:
         assert code == 0
         assert json.loads(out.strip())["seed"] == 3
         assert "overrides config" in err
+
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [("dims", [2, 2, 2], "2,2,2"), ("permutation", [1, 0], "1,0")],
+    )
+    def test_equal_list_flag_does_not_warn(self, key, value, flag, capsys, tmp_path):
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps({key: value, "algebra": "diag"}))
+        code, _, err = _run(capsys, ["verify", "--config", str(cfgf), "--" + key, flag])
+        assert code == 0 and err == ""
+
+    # a file value that a flag overrides is not type-checked
+    @pytest.mark.parametrize("value, flag", [([2, 2, 2], "2,4,2"), ("two", "2,2,2")])
+    def test_different_list_flag_warns(self, value, flag, capsys, tmp_path):
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps({"dims": value}))
+        code, _, err = _run(capsys, ["verify", "--config", str(cfgf), "--dims", flag])
+        assert code == 0 and "flag --dims overrides config" in err
 
     def test_env_seed_lowest_precedence(self, capsys, monkeypatch):
         monkeypatch.setenv("WALLKIT_SEED", "17")
@@ -424,6 +449,20 @@ INVALID_CALLS = [
     "scan --chain-sites 4 --max-width 0",
     "scan --chain-sites 11",
     "close --generators XI --out /nonexistent/x.json",  # an --out that cannot be opened
+    # a one-dimensional L leaves only the scalar A_C invariant
+    "verify --dims 1,2,1",
+    "fragments --dims 1,2,2",
+    "verify --preset abelian-pair --dim-l 1",
+    "synth --preset nonabelian-cnot --dim-l 1",
+]
+
+# one-dimensional edges that stay valid: a one-dimensional R, an SFF that
+# builds no wall, and a Haar unitary that declares no A_C
+ONE_DIM_EDGE_CALLS = [
+    "verify --dims 2,2,1",
+    "conserved --preset uncoupled-center --dim-r 1",
+    "sff --preset abelian-pair --dim-l 1 --t-max 2 --samples 20",
+    "verify --algebra haar --dims 1,2,2",
 ]
 
 INVALID_CONFIGS = [
@@ -473,6 +512,10 @@ class TestInvalidInputs:
         code, out, err = _run(capsys, [command, "--config", str(cfgf)])
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize("argv", ONE_DIM_EDGE_CALLS)
+    def test_one_dimensional_edge_accepted(self, argv, capsys):
+        assert _summary(capsys, argv.split())["status"] == "ok"
 
     def test_config_list_dims_accepted(self, capsys, tmp_path):
         cfgf = tmp_path / "c.json"

@@ -1,6 +1,8 @@
 """Dynamics tests: operator spreading, wall verification, conserved charges,
 gauged sequences, fragment counting, and chain scanning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from wallkit.linalg import (
 )
 from wallkit.algebra import (
     MatrixAlgebra,
-    OperatorSpace,
     close_algebra,
     commutant,
     contains,
@@ -208,9 +209,9 @@ def _assert_matches_oracle(U, layout, tol=ESCAPE_TOL):
     assert (rep.right, rep.steps_right) == right[:2]
     c_layout = SystemLayout(layout.center_dims)
     if rep.left:
-        assert equals(rep.A_C, OperatorSpace(left[2], c_layout))
+        assert equals(rep.A_C, MatrixAlgebra(left[2], c_layout))
     if rep.right:
-        assert equals(rep.B_C, OperatorSpace(right[2], c_layout))
+        assert equals(rep.B_C, MatrixAlgebra(right[2], c_layout))
     return rep
 
 
@@ -304,7 +305,7 @@ class TestInvariantAlgebras:
         inv = invariant_algebras(wall.U, wall.layout)
         assert inv.A_C.dim == 2 and inv.B_C.dim == 2
         assert equals(inv.A_C, inv.B_C)
-        assert contains(inv.A_C.space, Z)
+        assert contains(inv.A_C, Z)
 
     def test_factors_commute_in_nonabelian_case(self):
         wall = preset_wall("fswap")
@@ -318,14 +319,14 @@ class TestInvariantAlgebras:
         wall = preset_wall("abelian-pair")
         inv = invariant_algebras(wall.U, wall.layout)
         for p in (X, Y, Z):
-            assert contains(inv.Lbar.space, embed(p, (0,), wall.layout))
+            assert contains(inv.Lbar, embed(p, (0,), wall.layout))
 
     def test_invariance_under_wall(self):
         wall = preset_wall("nonabelian-cnot")
         inv = invariant_algebras(wall.U, wall.layout)
         for x in inv.Lbar.basis[:6]:
             moved = wall.U @ x @ dagger(wall.U)
-            assert contains(inv.Lbar.space, moved, 1e-8)
+            assert contains(inv.Lbar, moved, 1e-8)
 
     @pytest.mark.parametrize(
         "name, dims, seed", ORACLE_WALLS, ids=[f"{n}-{d}-{s}" for n, d, s in ORACLE_WALLS]
@@ -342,9 +343,9 @@ class TestInvariantAlgebras:
         for alg in (lbar, rbar):
             gram = np.einsum("iab,jab->ij", alg.basis.conj(), alg.basis)
             assert np.max(np.abs(gram - np.eye(alg.dim))) < 1e-12
-        assert equals(extract_central_factor(lbar.space, layout), inv.A_C)
+        assert equals(extract_central_factor(lbar, layout), inv.A_C)
         swapped_layout = dynamics._swapped_layout(layout)
-        swapped = OperatorSpace(dynamics._swap_edges(rbar.basis, layout), swapped_layout)
+        swapped = MatrixAlgebra(dynamics._swap_edges(rbar.basis, layout), swapped_layout)
         assert equals(extract_central_factor(swapped, swapped_layout), inv.B_C)
         # each lift holds its own edge algebra in the right tensor slot
         d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
@@ -354,9 +355,9 @@ class TestInvariantAlgebras:
             return shift, clock, shift @ clock
 
         for p in edge_ops(d_L):
-            assert contains(lbar.space, kron(p, np.eye(d_C * d_R)))
+            assert contains(lbar, kron(p, np.eye(d_C * d_R)))
         for p in edge_ops(d_R):
-            assert contains(rbar.space, kron(np.eye(d_L * d_C), p))
+            assert contains(rbar, kron(np.eye(d_L * d_C), p))
 
 
 def _clock_shift(d):
@@ -376,16 +377,16 @@ def _full_space_conserved(inv):
     rbar_gens = [kron(np.eye(d_L), kron(np.eye(d_C), g)) for g in _clock_shift(d_R)] + [
         kron(np.eye(d_L), kron(b, np.eye(d_R))) for b in inv.B_C.basis
     ]
-    lbar = MatrixAlgebra(inv.Lbar.space, generators=np.asarray(lbar_gens))
-    rbar = MatrixAlgebra(inv.Rbar.space, generators=np.asarray(rbar_gens))
-    joint = intersect(commutant(lbar).space, commutant(rbar).space)
+    lbar = replace(inv.Lbar, generators=np.asarray(lbar_gens))
+    rbar = replace(inv.Rbar, generators=np.asarray(rbar_gens))
+    joint = intersect(commutant(lbar), commutant(rbar))
     out_sites = tuple(layout.left) + tuple(layout.right)
     c_mats = []
     for x in joint.basis:
         sup, _ = support(x, layout, 1e-8)
         assert sup <= set(layout.center)
         c_mats.append(partial_trace(x, out_sites, layout) / (d_L * d_R))
-    return OperatorSpace(orthonormal_basis(c_mats), SystemLayout(layout.center_dims))
+    return MatrixAlgebra(orthonormal_basis(c_mats), SystemLayout(layout.center_dims))
 
 
 SMALL_PRESETS = [n for n in PRESET_NAMES if preset_wall(n).layout.dim <= 16]
@@ -410,7 +411,7 @@ class TestConserved:
         wall = preset_wall("abelian-pair")
         alg = conserved_algebra(invariant_algebras(wall.U, wall.layout))
         assert alg.dim == 2
-        assert contains(alg.space, Z)
+        assert contains(alg, Z)
 
     def test_swap_zz_diag_dim(self):
         wall = preset_wall("swap-zz")
@@ -430,7 +431,7 @@ class TestConserved:
         # the untouched middle central site is fully conserved
         c_layout = SystemLayout((2, 2, 2))
         for p in (X, Y, Z):
-            assert contains(alg.space, embed(p, (1,), c_layout))
+            assert contains(alg, embed(p, (1,), c_layout))
 
     def test_conservation_in_time(self):
         wall = preset_wall("abelian-pair")

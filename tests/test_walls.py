@@ -223,8 +223,8 @@ class TestPresets:
     def test_fswap_signature(self):
         wall = preset_wall("fswap")
         assert isomorphism_signature(wall.block_structure) == ((2, 2),)
-        assert contains(wall.A_C.space, pauli_string("XI"))
-        assert contains(wall.A_C.space, pauli_string("ZX"))
+        assert contains(wall.A_C, pauli_string("XI"))
+        assert contains(wall.A_C, pauli_string("ZX"))
 
     def test_swap_zz_blocks(self):
         wall = preset_wall("swap-zz")
@@ -239,7 +239,7 @@ class TestPresets:
         assert wall.layout.site_dims == (3, *center, 4)
         assert _is_unitary(wall.U)
         report = verify_wall(wall.U, wall.layout)
-        assert report.is_wall and equals(report.A_C.space, wall.A_C.space)
+        assert report.is_wall and equals(report.A_C, wall.A_C)
 
     def test_fswap_needs_qubit_edges(self):
         with pytest.raises(ValueError, match="qubit edges"):
