@@ -102,17 +102,6 @@ def _check_unitary(U: np.ndarray, d: int):
     return U
 
 
-def _swapped_layout(layout: SystemLayout) -> SystemLayout:
-    """The (R, C, L) layout that ``_swap_edges`` maps (L, C, R) operators to."""
-    n_c = len(layout.center_dims)
-    return SystemLayout(
-        (layout.d_right,) + layout.center_dims + (layout.d_left,),
-        (0,),
-        tuple(range(1, 1 + n_c)),
-        (1 + n_c,),
-    )
-
-
 def _swap_edges(basis: np.ndarray, layout: SystemLayout) -> np.ndarray:
     """Reorder operators from (L, C, R) to (R, C, L) tensor factors."""
     d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
@@ -122,18 +111,24 @@ def _swap_edges(basis: np.ndarray, layout: SystemLayout) -> np.ndarray:
     return T.reshape(k, layout.dim, layout.dim)
 
 
-def _edge_block_frame(U: np.ndarray, layout: SystemLayout, tol: float):
-    """Orthonormal basis of the left edge blocks of U.
+def _cut_frames(U: np.ndarray, d_A: int, tol: float):
+    """Operator-Schmidt frames of U across the cut after a d_A-dimensional
+    prefix A (the suffix B has dimension d_B = d / d_A).
 
-    These are the operators B_iu = (<i|_L x 1) U (|u>_L x 1) acting on CR;
-    the closure of M_L-seeded operators is generated by sandwiches
-    B s B'^dag.  The right check runs this on the edge-swapped U.
+    The realigned matrix M[(i, u), (j, v)] = U[(i, j), (u, v)] has the edge
+    blocks (<i|_A x 1) U (|u>_A x 1) as rows and (1 x <j|_B) U (1 x |v>_B)
+    as columns, so one SVD gives HS-orthonormal bases of both spans, with
+    the rank cut at singular values above ``tol`` times the largest one.
+    Returns (frame on B, frame on A): the first seeds the closure of the
+    check whose edge is A, the second the one whose edge is B.
     """
-    d_edge = layout.d_left
-    d_bulk = layout.dim // d_edge
-    T = U.reshape(d_edge, d_bulk, d_edge, d_bulk)
-    blocks = T.transpose(0, 2, 1, 3).reshape(d_edge * d_edge, d_bulk, d_bulk)
-    return orthonormal_basis(blocks, tol)
+    d_B = len(U) // d_A
+    M = U.reshape(d_A, d_B, d_A, d_B).transpose(0, 2, 1, 3).reshape(d_A * d_A, d_B * d_B)
+    if not np.any(M):
+        return np.zeros((0, d_B, d_B), dtype=complex), np.zeros((0, d_A, d_A), dtype=complex)
+    u, s, vh = np.linalg.svd(M, full_matrices=False)
+    r = int(np.sum(s > tol * s[0]))
+    return vh[:r].reshape(r, d_B, d_B), u[:, :r].T.reshape(r, d_A, d_A)
 
 
 def _lift(a: np.ndarray, d_out: int) -> np.ndarray:
@@ -182,10 +177,12 @@ def _probe_escapes(m, a, d_out: int, bound: float, g: np.random.Generator) -> bo
     return bool(resid[0] > bound * weight)
 
 
-def _directional_closure(U, layout: SystemLayout, tol: float):
+def _directional_closure(m: np.ndarray, center_dims: tuple, tol: float):
     """Closure of the left-edge-seeded invariant algebra, tracked by its
     central factor.
 
+    ``m`` is an HS-orthonormal frame of the left edge blocks of U on the
+    bulk C x out (``_cut_frames``), with C of dims ``center_dims`` first.
     Every algebra between M_L x 1 and the full algebra is of the form
     M_L x S; each closure round sandwiches the current S between edge
     blocks of U, rejects as soon as a sandwich X escapes (center x identity)
@@ -204,18 +201,18 @@ def _directional_closure(U, layout: SystemLayout, tol: float):
     decisions and round counts are those of the per-element rule alone.
     Returns (passed, rounds, central algebra basis or None).
     """
-    d_C = layout.d_center
-    d_bulk = layout.dim // layout.d_left
+    d_C = prod(center_dims)
+    d_bulk = m.shape[1]
     d_out = d_bulk // d_C  # dimension of the identity factor within the bulk
-    m = _edge_block_frame(U, layout, tol)
     m_dag = np.ascontiguousarray(m.conj().transpose(0, 2, 1))
     kB = len(m)
-    c_layout = SystemLayout(layout.center_dims)
+    c_layout = SystemLayout(center_dims)
     a = np.eye(d_C, dtype=complex)[None] / np.sqrt(d_C)
     probe_rng = np.random.default_rng(PROBE_SEED)
     probe_bound = max(tol * np.sqrt(d_out), ZERO_TOL)
 
-    max_rounds = layout.dim**2 + 1
+    # each round that does not stabilize grows S, whose dimension is <= d_C^2
+    max_rounds = d_C**2 + 1
     for rounds in range(1, max_rounds + 1):
         if _probe_escapes(m, a, d_out, probe_bound, probe_rng):
             return False, rounds, None
@@ -326,9 +323,10 @@ def _verify_wall(U: np.ndarray, layout: SystemLayout, tol: float) -> WallReport:
     """``verify_wall`` on a U already checked to be a d x d unitary."""
     if not layout.left or not layout.right:
         raise ValueError("wall verification needs non-empty L and R regions")
-    swapped = _swapped_layout(layout)
-    left, s_l, a_basis = _directional_closure(U, layout, tol)
-    right, s_r, b_basis = _directional_closure(_swap_edges(U[None], layout)[0], swapped, tol)
+    m_left, _ = _cut_frames(U, layout.d_left, tol)
+    m_right, _ = _cut_frames(_swap_edges(U[None], layout)[0], layout.d_right, tol)
+    left, s_l, a_basis = _directional_closure(m_left, layout.center_dims, tol)
+    right, s_r, b_basis = _directional_closure(m_right, layout.center_dims, tol)
     c_layout = SystemLayout(layout.center_dims)
     A_C = MatrixAlgebra(a_basis, c_layout) if left else None
     B_C = MatrixAlgebra(b_basis, c_layout) if right else None
@@ -498,28 +496,50 @@ class ScanReport:
 
 def brickwork_unitary(site_dims, even_gates, odd_gates) -> np.ndarray:
     """Floquet unitary of a two-layer brickwork: even gates on (0,1),(2,3),...
-    applied first, odd gates on (1,2),(3,4),... second."""
-    layout = SystemLayout(tuple(site_dims))
-    n = layout.n_sites
-    U = np.eye(layout.dim, dtype=complex)
-    for k, g in enumerate(even_gates):
-        U = embed(g, (2 * k, 2 * k + 1), layout) @ U
-    U_odd = np.eye(layout.dim, dtype=complex)
-    for k, g in enumerate(odd_gates):
-        U_odd = embed(g, (2 * k + 1, 2 * k + 2), layout) @ U_odd
-    return U_odd @ U
+    applied first, odd gates on (1,2),(3,4),... second.  Each gate acts on
+    the two row axes of its sites, at O(d_gate^2 d^2) per gate."""
+    site_dims = tuple(int(d) for d in site_dims)
+    n, d = len(site_dims), prod(site_dims)
+    U = np.eye(d, dtype=complex)
+    gates = [(2 * k, g) for k, g in enumerate(even_gates)]
+    gates += [(2 * k + 1, g) for k, g in enumerate(odd_gates)]
+    for s, g in gates:
+        if s + 1 >= n:
+            raise ValueError(f"gate on sites ({s}, {s + 1}) outside a chain of {n} sites")
+        d_gate = site_dims[s] * site_dims[s + 1]
+        g = np.asarray(g, dtype=complex)
+        if g.shape != (d_gate, d_gate):
+            raise ValueError(f"gate shape {g.shape} does not match site dims product {d_gate}")
+        d_pre = prod(site_dims[:s])
+        U = (g @ U.reshape(d_pre, d_gate, -1)).reshape(d, d)
+    return U
 
 
 def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2, tol: float = ESCAPE_TOL) -> ScanReport:
     """Verify every candidate central window (width <= max_width) of the
-    brickwork Floquet unitary and report the wall windows found."""
+    brickwork Floquet unitary and report the wall windows found.
+
+    The checks run cut by cut: one ``_cut_frames`` SVD at each of the n - 1
+    bonds gives the left frame of every window that starts there and the
+    right frame of every window that ends there, so the records are those
+    of ``verify_wall`` on each window, at one SVD per bond."""
     site_dims = tuple(int(d) for d in site_dims)
     n = len(site_dims)
     U = _check_unitary(brickwork_unitary(site_dims, even_gates, odd_gates), prod(site_dims))
-    records = []
-    for width in range(1, min(max_width, n - 2) + 1):  # wider windows leave L or R empty
-        for start in range(1, n - width):
-            layout = SystemLayout.chain(site_dims, start, width)
-            rep = _verify_wall(U, layout, tol)
-            records.append(ScanRecord(start, width, rep.left, rep.right))
-    return ScanReport(records)
+    widths = range(1, min(max_width, n - 2) + 1)  # wider windows leave L or R empty
+    left, right = {}, {}
+    for cut in range(1, n):
+        suffix, prefix = _cut_frames(U, prod(site_dims[:cut]), tol)
+        for w in widths:
+            if cut + w < n:  # window [cut, cut + w) with L = [0, cut)
+                left[cut, w] = _directional_closure(suffix, site_dims[cut : cut + w], tol)[0]
+            start = cut - w
+            if start >= 1:  # window [start, cut) with R = [cut, n)
+                d_L, d_C, r = prod(site_dims[:start]), prod(site_dims[start:cut]), len(prefix)
+                # prefix frame from (L, C) to (C, L) factors: the bulk of the edge-swapped U
+                m = prefix.reshape(r, d_L, d_C, d_L, d_C).transpose(0, 2, 1, 4, 3)
+                m = m.reshape(r, d_C * d_L, d_C * d_L)
+                right[start, w] = _directional_closure(m, site_dims[start:cut], tol)[0]
+    return ScanReport(
+        [ScanRecord(s, w, left[s, w], right[s, w]) for w in widths for s in range(1, n - w)]
+    )

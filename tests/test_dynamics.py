@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import wallkit.cli as cli
 import wallkit.dynamics as dynamics
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import (
@@ -17,6 +18,7 @@ from wallkit.linalg import (
     kron,
     orthonormal_basis,
     partial_trace,
+    projector_onto,
 )
 from wallkit.algebra import (
     MatrixAlgebra,
@@ -253,10 +255,14 @@ class TestClosureProbe:
         n = 8
         for chain, (even, odd) in enumerate(_scanner_chains(n)):
             U = brickwork_unitary((2,) * n, even, odd)
+            expected = []
             for width in (1, 2):
                 for start in range(1, n - width):
                     rep = _assert_matches_oracle(U, SystemLayout.chain((2,) * n, start, width))
                     assert rep.is_wall == (chain == 0 and start <= 3 < start + width)
+                    expected.append((start, width, rep.left, rep.right))
+            records = scan_chain((2,) * n, even, odd).records
+            assert [(r.start, r.width, r.left, r.right) for r in records] == expected
 
     def test_near_threshold_falls_through_to_per_element_rule(self, monkeypatch):
         # a wall perturbed by eps, with tol just below the worst relative
@@ -292,6 +298,18 @@ ORACLE_WALLS = (
     + [(n, (3, 4), 0) for n in SHARED_BUILDER]
     + [("diag", None, 40), ("diag", None, 41)]
 )
+
+
+def _swapped_layout(layout):
+    """The (R, C, L) layout that ``dynamics._swap_edges`` maps (L, C, R)
+    operators to."""
+    n_c = len(layout.center_dims)
+    return SystemLayout(
+        (layout.d_right,) + layout.center_dims + (layout.d_left,),
+        (0,),
+        tuple(range(1, 1 + n_c)),
+        (1 + n_c,),
+    )
 
 
 def _diag_wall(seed):
@@ -344,7 +362,7 @@ class TestInvariantAlgebras:
             gram = np.einsum("iab,jab->ij", alg.basis.conj(), alg.basis)
             assert np.max(np.abs(gram - np.eye(alg.dim))) < 1e-12
         assert equals(extract_central_factor(lbar, layout), inv.A_C)
-        swapped_layout = dynamics._swapped_layout(layout)
+        swapped_layout = _swapped_layout(layout)
         swapped = MatrixAlgebra(dynamics._swap_edges(rbar.basis, layout), swapped_layout)
         assert equals(extract_central_factor(swapped, swapped_layout), inv.B_C)
         # each lift holds its own edge algebra in the right tensor slot
@@ -529,6 +547,26 @@ def _scan_gates(n, rng):
     return even, odd
 
 
+def _embedded_chain(n, s, rng):
+    """Haar brickwork gates on n qubits with the wall of ``wallkit scan
+    --embed-at s`` (s odd) built in; s = None leaves the chain Haar."""
+    even, odd = _scan_gates(n, rng)
+    if s is not None:
+        xi = [haar_unitary(2, rng) for _ in range(2)]
+        zeta = [haar_unitary(2, rng) for _ in range(2)]
+        even[(s - 1) // 2] = conditional_unitary(np.eye(2), xi)
+        odd[(s - 1) // 2] = conditional_unitary(np.eye(2), zeta, control_first=True)
+    return even, odd
+
+
+def _scan_cases(n):
+    """A Haar chain, one chain per embed site, and the identity chain (whose
+    cuts all have operator-Schmidt rank 1), as (id, even, odd)."""
+    g = SeededRng(36, n).generator()
+    cases = [(f"embed-{s}", *_embedded_chain(n, s, g)) for s in [None, *range(1, n - 1, 2)]]
+    return cases + [("identity", [np.eye(4)] * (n // 2), [np.eye(4)] * ((n - 1) // 2))]
+
+
 class TestScan:
     def test_embedded_wall_found(self):
         n, s = 8, 3
@@ -563,9 +601,73 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_chain((2,) * 4, even, odd)
 
+    @pytest.mark.parametrize("max_width", (1, 2, 3))
+    @pytest.mark.parametrize("n", (5, 6, 7))
+    def test_cut_scan_matches_per_window_checks(self, n, max_width, monkeypatch):
+        # one operator-Schmidt SVD per bond serves both checks of every window
+        cuts = []
+        cut_frames = dynamics._cut_frames
+        monkeypatch.setattr(
+            dynamics, "_cut_frames", lambda *args: cuts.append(args[1]) or cut_frames(*args)
+        )
+        dims = (2,) * n
+        for case, even, odd in _scan_cases(n):
+            U = brickwork_unitary(dims, even, odd)
+            expected = []
+            for width in range(1, min(max_width, n - 2) + 1):
+                for start in range(1, n - width):
+                    layout = SystemLayout.chain(dims, start, width)
+                    rep = dynamics._verify_wall(U, layout, ESCAPE_TOL)
+                    expected.append((start, width, rep.left, rep.right))
+            cuts.clear()
+            records = scan_chain(dims, even, odd, max_width=max_width).records
+            assert [(r.start, r.width, r.left, r.right) for r in records] == expected, case
+            assert cuts == [2**c for c in range(1, n)], case
+            if case == "identity":
+                assert all(left and right for _, _, left, right in expected)
+
+    def test_brickwork_local_gates_match_embedded_products(self):
+        dims = (2, 3, 2, 3, 2)
+        lay = SystemLayout(dims)
+        g = SeededRng(37).generator()
+        even = [haar_unitary(6, g) for _ in range(2)]
+        odd = [haar_unitary(6, g) for _ in range(2)]
+        direct = np.eye(lay.dim)
+        for s, gate in [(0, even[0]), (2, even[1]), (1, odd[0]), (3, odd[1])]:
+            direct = embed(gate, (s, s + 1), lay) @ direct
+        assert np.max(np.abs(brickwork_unitary(dims, even, odd) - direct)) < 1e-13
+
+    def test_brickwork_rejects_misplaced_gates(self):
+        with pytest.raises(ValueError, match="shape"):
+            brickwork_unitary((2, 2, 2), [np.eye(2)], [])
+        with pytest.raises(ValueError, match="outside"):
+            brickwork_unitary((2, 2, 2), [np.eye(4)], [np.eye(4), np.eye(4)])
+
     def test_brickwork_order(self):
         # odd layer applied after even layer
         cnot = conditional_unitary(np.eye(2), [I2, X], control_first=True)
         U = brickwork_unitary((2, 2, 2), [cnot], [cnot])
         direct = embed(cnot, (1, 2), L3) @ embed(cnot, (0, 1), L3)
         assert np.allclose(U, direct)
+
+
+class TestCutFrames:
+    @pytest.mark.parametrize("source", [*PRESET_NAMES, "2,2,2", "2,3,2"])
+    def test_prefix_frame_spans_the_right_edge_blocks(self, source):
+        # the prefix frame of the L C | R cut, reordered to (C, L), spans the
+        # same space as the right frame that verify_wall takes from the
+        # edge-swapped U
+        if source in PRESET_NAMES:
+            wall = preset_wall(source)
+        else:
+            wall = cli._wall_from_config(cli.parse_config(["verify", "--dims", source]))
+        lay = wall.layout
+        d_L, d_C = lay.d_left, lay.d_center
+        _, prefix = dynamics._cut_frames(wall.U, d_L * d_C, ESCAPE_TOL)
+        r = len(prefix)
+        moved = prefix.reshape(r, d_L, d_C, d_L, d_C).transpose(0, 2, 1, 4, 3)
+        moved = moved.reshape(r, d_C * d_L, d_C * d_L)
+        swapped = dynamics._swap_edges(wall.U[None], lay)[0]
+        right, _ = dynamics._cut_frames(swapped, lay.d_right, ESCAPE_TOL)
+        assert r == len(right)
+        assert np.allclose(projector_onto(moved), projector_onto(right), atol=1e-12)
