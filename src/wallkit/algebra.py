@@ -19,11 +19,6 @@ from .linalg import (
     projector_onto,
 )
 
-# largest stacked commutator superoperator (k d^4 elements, 1 GB complex)
-# solved directly; bigger stacks take the Gram route
-DIRECT_KERNEL_ELEMS = 2**26
-
-
 @dataclass
 class MatrixAlgebra:
     """Unital span of operators closed under products and adjoints, stored as
@@ -87,51 +82,59 @@ def close_algebra(generators, layout: SystemLayout, tol: float = RANK_TOL) -> Ma
     raise RuntimeError("algebra closure failed to stabilize (numerical drift)")
 
 
-def _commutator_kernel(gens: np.ndarray, tol: float) -> np.ndarray:
-    """Joint kernel of the vectorized maps x -> [g, x], as a stacked basis.
-
-    Row-major vec gives vec(g x - x g) = (g (x) 1 - 1 (x) g^T) vec(x); the
-    stacked superoperator is solved directly when small, otherwise through
-    the (Gram-matrix) normal equations.
-    """
-    k, d, _ = gens.shape
-    eye = np.eye(d)
-    if k * d**4 <= DIRECT_KERNEL_ELEMS:
-        rows = np.concatenate(
-            [np.kron(g, eye) - np.kron(eye, g.T) for g in gens], axis=0
-        )
-        vecs = nullspace(rows, tol)
-        return vecs.T.reshape(-1, d, d)
-    # Gram route for large stacks: kernel of sum_g S_g^dag S_g
-    gram = np.zeros((d * d, d * d), dtype=complex)
-    for g in gens:
-        s = np.kron(g, eye) - np.kron(eye, g.T)
-        gram += dagger(s) @ s
-    w, v = np.linalg.eigh(gram)
-    scale = max(w[-1], 1.0)
-    # squared-residual spectrum with a linear noise floor: cut linearly
-    keep = w <= tol * scale
-    return v[:, keep].T.reshape(-1, d, d)
+# seed of the block frame a commutant is read from: fixed, so that every
+# commutant is deterministic
+FRAME_SEED = 20200
 
 
 def commutant(alg: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
-    """Algebra of all operators commuting with every element (equivalently,
-    with the retained generators) of `alg`."""
-    if alg.generators is not None and len(alg.generators):
-        g = np.asarray(alg.generators, dtype=complex)
-        # the commutant of the *algebra* needs the adjoints as well: an
-        # operator commuting with g need not commute with g^dag
-        gens = np.concatenate([g, np.conj(np.transpose(g, (0, 2, 1)))])
-    else:
-        gens = alg.basis
-    kernel = _commutator_kernel(np.asarray(gens, dtype=complex), tol)
-    basis = orthonormal_basis(kernel, tol)
-    return MatrixAlgebra(basis, alg.layout)
+    """Algebra of all operators commuting with every element of `alg`.
+
+    By the Wedderburn theorem, A = V (⊕_i M_{D_i} (x) 1_{E_i}) V^dag has
+    A' = V (⊕_i 1_{D_i} (x) M_{E_i}) V^dag, so A' is read off the block frame
+    of ``decompose`` (drawn from ``FRAME_SEED``) with its exact
+    HS-orthonormal basis V_i (1_D (x) e_ab) V_i^dag / sqrt(D).
+    """
+    from .blocks import decompose, frame_span  # blocks imports this module
+
+    return MatrixAlgebra(frame_span(decompose(alg, FRAME_SEED, tol), mirror=True), alg.layout)
+
+
+def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All commutators [a_i, b_j], stacked as (i, j, d, d)."""
+    return np.einsum("iab,jbc->ijac", a, b) - np.einsum("jab,ibc->ijac", b, a)
+
+
+def max_commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest HS norm of [x, y] over x in stack `a` and y in stack `b`."""
+    return float(np.max(np.linalg.norm(_commutators(a, b), axis=(2, 3)), initial=0.0))
+
+
+def relative_commutant(basis: np.ndarray, ops: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """HS-orthonormal basis of the part of span(basis) that commutes with
+    every operator in the stack `ops`.
+
+    Works in the coefficients of `basis`: the residual of sum_i c_i b_i is
+    c^H G c with G[l, i] = sum_j <[b_l, o_j], [b_i, o_j]>, so the answer is
+    the near-kernel of the small Gram matrix G, with no d^2 x d^2
+    superoperator.
+    """
+    k = len(basis)
+    flat = _commutators(basis, ops).reshape(k, len(ops), -1)
+    gram = np.einsum("ljx,ijx->li", flat.conj(), flat)
+    w, v = np.linalg.eigh(gram)
+    scale = max(float(w[-1]), 1.0)
+    # gram eigenvalues are squared residuals, but their noise floor is linear
+    # in machine epsilon times the scale, so the cut is a linear tolerance
+    coeffs = v[:, w <= tol * scale].T
+    if len(coeffs) == 0:
+        return np.zeros((0,) + basis.shape[1:], dtype=complex)
+    return orthonormal_basis(np.tensordot(coeffs, basis, axes=(1, 0)), tol)
 
 
 def center(alg: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
-    """Z(A) = A intersected with its commutant."""
-    return intersect(alg, commutant(alg, tol), tol)
+    """Z(A): the elements of A that commute with all of A."""
+    return MatrixAlgebra(relative_commutant(alg.basis, alg.basis, tol), alg.layout)
 
 
 def intersect(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:

@@ -11,14 +11,13 @@ from .layout import SystemLayout, as_generator
 from .linalg import (
     RANK_TOL,
     dagger,
-    hs_norm,
     orthonormal_basis,
     random_hermitian_in_span,
 )
 from .algebra import (
     MatrixAlgebra,
-    close_algebra,
     cluster_eigenvalues,
+    relative_commutant,
 )
 
 CLUSTER_TOL = 1e-7  # relative eigenvalue-gap threshold for grouping
@@ -56,40 +55,8 @@ class BlockStructure:
         }
 
 
-def _algebra_center_coeffs(basis: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Center of the span, computed inside algebra coordinates.
-
-    Builds the small Gram matrix of the maps x -> [x, b_j] restricted to the
-    span and takes its near-kernel; avoids d^2 x d^2 superoperators.
-    """
-    k = len(basis)
-    # C[j] columns: vec([b_i, b_j]) -> coefficients against the basis itself
-    # work directly with structure constants: [sum_i c_i b_i, b_j]
-    comms = np.einsum("iab,jbc->ijac", basis, basis) - np.einsum(
-        "jab,ibc->ijac", basis, basis
-    )  # (i, j, d, d) = [b_i, b_j]
-    flat = comms.reshape(k, k, -1)
-    # residual of coefficients c is c^H G c with G[l,i] = sum_jx
-    # conj(comms[l,j,x]) comms[i,j,x]
-    gram = np.einsum("ljx,ijx->li", flat.conj(), flat)
-    w, v = np.linalg.eigh(gram)
-    scale = max(float(w[-1]), 1.0)
-    # gram eigenvalues are squared residuals, but their noise floor is linear
-    # in machine epsilon times the scale, so the cut is a linear tolerance
-    keep = w <= tol * scale
-    return v[:, keep].T  # rows of coefficient vectors
-
-
-def algebra_center_basis(alg: MatrixAlgebra, tol: float = RANK_TOL) -> np.ndarray:
-    coeffs = _algebra_center_coeffs(alg.basis, tol)
-    if len(coeffs) == 0:
-        return np.zeros((0,) + alg.basis.shape[1:], dtype=complex)
-    mats = np.tensordot(coeffs, alg.basis, axes=(1, 0))
-    return orthonormal_basis(mats, tol)
-
-
 def _minimal_central_projectors(alg: MatrixAlgebra, rng) -> list[np.ndarray]:
-    center = algebra_center_basis(alg)
+    center = relative_commutant(alg.basis, alg.basis)
     d = alg.layout.dim
     for _ in range(5):
         h = random_hermitian_in_span(center, rng)
@@ -186,34 +153,37 @@ def decompose(alg: MatrixAlgebra, rng, tol: float = RANK_TOL) -> BlockStructure:
 
 def _verify_block_form(alg: MatrixAlgebra, bs: BlockStructure) -> float:
     """Max residual of conjugated basis elements against ⊕ m (x) 1_E form."""
-    V = bs.V
-    worst = 0.0
-    for b in alg.basis:
-        bb = dagger(V) @ b @ V
-        approx = np.zeros_like(bb)
-        for off, (dD, dE) in zip(bs.block_offsets(), bs.blocks):
-            m = dD * dE
-            sub = bb[off : off + m, off : off + m].reshape(dD, dE, dD, dE)
-            core = np.trace(sub, axis1=1, axis2=3) / dE
-            approx[off : off + m, off : off + m] = np.kron(core, np.eye(dE))
-        worst = max(worst, float(np.max(np.abs(bb - approx))))
-    return worst
+    bb = dagger(bs.V) @ alg.basis @ bs.V
+    approx = np.zeros_like(bb)
+    for off, (dD, dE) in zip(bs.block_offsets(), bs.blocks):
+        m = dD * dE
+        sub = bb[:, off : off + m, off : off + m].reshape(-1, dD, dE, dD, dE)
+        core = np.trace(sub, axis1=2, axis2=4) / dE
+        approx[:, off : off + m, off : off + m] = np.kron(core, np.eye(dE))
+    return float(np.max(np.abs(bb - approx), initial=0.0))
 
 
-def reconstruct(bs: BlockStructure, tol: float = RANK_TOL) -> MatrixAlgebra:
-    """Algebra spanned by V (unit_D (x) 1_E) V^dag over all block matrix units."""
+def frame_span(bs: BlockStructure, mirror: bool = False) -> np.ndarray:
+    """HS-orthonormal basis V_i (e_ab (x) 1_E) V_i^dag / sqrt(E) over every
+    block i and matrix unit e_ab of M_D: the decomposed algebra.  ``mirror``
+    swaps the two factors, giving V_i (1_D (x) e_ab) V_i^dag / sqrt(D) over
+    the matrix units of M_E: its commutant."""
     d = bs.layout.dim
     mats = []
     for off, (dD, dE) in zip(bs.block_offsets(), bs.blocks):
-        for i in range(dD):
-            for j in range(dD):
-                u = np.zeros((dD, dD))
-                u[i, j] = 1.0
-                full = np.zeros((d, d), dtype=complex)
-                full[off : off + dD * dE, off : off + dD * dE] = np.kron(u, np.eye(dE))
-                mats.append(bs.V @ full @ dagger(bs.V))
-    basis = orthonormal_basis(np.asarray(mats), tol)
-    return MatrixAlgebra(basis, bs.layout)
+        cols = bs.V[:, off : off + dD * dE].reshape(d, dD, dE)
+        # w[a] = V_i (|a> (x) 1), so V_i (e_ab (x) 1) V_i^dag = w[a] w[b]^dag
+        w = cols.transpose(2, 0, 1) if mirror else cols.transpose(1, 0, 2)
+        n, r = len(w), w.shape[2]
+        span = w[:, None] @ np.conj(w.transpose(0, 2, 1))[None]
+        span /= np.sqrt(r)
+        mats.append(span.reshape(n * n, d, d))
+    return np.concatenate(mats)
+
+
+def reconstruct(bs: BlockStructure) -> MatrixAlgebra:
+    """Algebra spanned by V (unit_D (x) 1_E) V^dag over all block matrix units."""
+    return MatrixAlgebra(frame_span(bs), bs.layout)
 
 
 def isomorphism_signature(bs: BlockStructure) -> tuple[tuple[int, int], ...]:

@@ -23,6 +23,8 @@ from .algebra import (
     close_algebra,
     commutant,
     intersect,
+    max_commutator,
+    relative_commutant,
 )
 from .blocks import decompose, isomorphism_signature
 
@@ -357,10 +359,8 @@ def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> Wall
     if not report.is_wall:
         raise NotAWallError(f"not a wall: left={report.left}, right={report.right}")
     # the theorem demands the central factors commute pairwise
-    for x in report.A_C.basis:
-        for y in report.B_C.basis:
-            if hs_norm(x @ y - y @ x) > 1e-9:
-                raise RuntimeError("central factors fail to commute (numerical failure)")
+    if max_commutator(report.A_C.basis, report.B_C.basis) > 1e-9:
+        raise RuntimeError("central factors fail to commute (numerical failure)")
     return report
 
 
@@ -370,17 +370,15 @@ def conserved_algebra(inv: WallReport, tol: float = RANK_TOL) -> MatrixAlgebra:
     The invariant algebras factor as Lbar = M_L x A_C x 1_R and
     Rbar = 1_L x B_C x M_R (``invariant_algebras`` raises otherwise), so
     Lbar' ∩ Rbar' = 1_L x (A_C' ∩ B_C') x 1_R: the conserved algebra is the
-    intersection of the two central commutants, with no d^2 x d^2
-    superoperator on the full space.  Every returned element is checked to
-    commute with both central factors.
+    part of A_C' that commutes with B_C, with no d^2 x d^2 superoperator on
+    the full space.  Every returned element is checked to commute with both
+    central factors.
     """
-    joint = intersect(commutant(inv.A_C, tol), commutant(inv.B_C, tol), tol)
-    # all bases are HS-orthonormal, so these commutator norms are relative
-    factors = np.concatenate([inv.A_C.basis, inv.B_C.basis])
-    comms = np.einsum("iab,jbc->ijac", joint.basis, factors) - np.einsum(
-        "jab,ibc->ijac", factors, joint.basis
+    joint = MatrixAlgebra(
+        relative_commutant(commutant(inv.A_C, tol).basis, inv.B_C.basis, tol), inv.A_C.layout
     )
-    residual = float(np.max(np.linalg.norm(comms, axis=(2, 3)), initial=0.0))
+    # all bases are HS-orthonormal, so these commutator norms are relative
+    residual = max_commutator(joint.basis, np.concatenate([inv.A_C.basis, inv.B_C.basis]))
     if residual > 1e-8:
         raise RuntimeError(
             f"conserved element fails to commute with the central factors "

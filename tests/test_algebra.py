@@ -1,6 +1,8 @@
 """Algebra-engine tests: closure, commutant, center, set algebra, and
 central-factor extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from wallkit.algebra import (
     intersect,
 )
 from wallkit.walls import PAULI, pauli_string
+from conftest import superoperator_commutant
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L1 = SystemLayout((2,))
@@ -35,7 +38,8 @@ def _random_generator_set(k):
     return gens, (2,) * n_sites
 
 
-KERNEL_CASES = [_random_generator_set(k) for k in range(5)] + [
+# criterion 2's 30 random generator sets, then named ones
+KERNEL_CASES = [_random_generator_set(k) for k in range(30)] + [
     ([pauli_string(s) for s in names.split(",")], (2,) * len(names.split(",")[0]))
     for names in ("XI,ZX", "ZZ,XX", "XIZ,ZXI", "ZII,IZI")
 ]
@@ -129,16 +133,31 @@ class TestCommutant:
 
     @pytest.mark.parametrize("from_basis", [False, True], ids=["generators", "basis"])
     @pytest.mark.parametrize("case", range(len(KERNEL_CASES)))
-    def test_gram_route_matches_direct(self, case, from_basis, monkeypatch):
-        # the Gram route guards memory on stacks above DIRECT_KERNEL_ELEMS;
-        # with the bound at 0 it takes every stack
+    def test_matches_superoperator_oracle(self, case, from_basis):
+        # the oracle solves for the kernel of the generators and their
+        # adjoints, or of the whole basis; the commutant is read off the
+        # block frame
         gens, dims = KERNEL_CASES[case]
         alg = close_algebra(gens, SystemLayout(dims))
-        if from_basis:
-            alg = MatrixAlgebra(alg.basis, alg.layout)
-        direct = commutant(alg)
-        monkeypatch.setattr(algebra, "DIRECT_KERNEL_ELEMS", 0)
-        assert equals(direct, commutant(alg))
+        g = np.asarray(gens, dtype=complex)
+        stack = alg.basis if from_basis else np.concatenate([g, g.conj().transpose(0, 2, 1)])
+        assert equals(commutant(alg), superoperator_commutant(stack, alg.layout))
+
+    def test_scale_without_superoperator(self):
+        # at d = 64 the stacked superoperator alone is 1 GB; the frame
+        # commutant is 1024 elements of 64 KB
+        gens = [pauli_string("XIIIII"), pauli_string("ZXIIII")]
+        alg = close_algebra(gens, SystemLayout((2,) * 6))
+        tracemalloc.start()
+        try:
+            com = commutant(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert com.dim == 1024 and peak < 512 * 2**20
+        flat = com.basis.reshape(com.dim, -1)
+        assert np.allclose(flat.conj() @ flat.T, np.eye(com.dim), atol=1e-12)
+        assert algebra.max_commutator(com.basis[::37], alg.basis) < 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
     @settings(max_examples=10, deadline=None)

@@ -218,7 +218,8 @@ class TestArtifacts:
         assert len(payload["basis"]) == 2
 
     def test_center_artifact_is_unital(self, capsys, tmp_path):
-        # the center comes from an intersection of two spans
+        # the center is read off the basis in algebra coordinates; the
+        # artifact still marks it as a unital algebra
         out = tmp_path / "center.json"
         _summary(capsys, ["center", "--generators", "ZZ,XX", "--out", str(out)])
         payload = json.loads(out.read_text())

@@ -1,8 +1,6 @@
 """Dynamics tests: operator spreading, wall verification, conserved charges,
 gauged sequences, fragment counting, and chain scanning."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,6 @@ from wallkit.linalg import (
 from wallkit.algebra import (
     MatrixAlgebra,
     close_algebra,
-    commutant,
     contains,
     equals,
     extract_central_factor,
@@ -51,6 +48,7 @@ from wallkit.walls import (
     resolve_central_algebra,
     synth_wall,
 )
+from conftest import superoperator_commutant
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L3 = SystemLayout((2, 2, 2))
@@ -182,9 +180,10 @@ def _per_element_closure(U, layout, side, tol):
         collected, worst = [a], 0.0
         chunk = max(1, 2**22 // (d_bulk * d_bulk * len(a) * len(m)))
         for p0 in range(0, len(m), chunk):
-            part = np.einsum("pij,ajk->paik", m[p0 : p0 + chunk], lifted)
+            part = np.einsum("pij,ajk->paik", m[p0 : p0 + chunk], lifted, optimize=True)
             part = part.reshape(-1, d_bulk, d_bulk)
-            prods = np.einsum("nik,qjk->nqij", part, m.conj()).reshape(-1, d_bulk, d_bulk)
+            prods = np.einsum("nik,qjk->nqij", part, m.conj(), optimize=True)
+            prods = prods.reshape(-1, d_bulk, d_bulk)
             n = len(prods)
             core = np.trace(prods.reshape(n, *shape), axis1=trace_axes[0], axis2=trace_axes[1])
             core = core / d_out
@@ -384,8 +383,8 @@ def _clock_shift(d):
 
 
 def _full_space_conserved(inv):
-    """Oracle on the full space: the commutants of the lifted Lbar and Rbar
-    generators, intersected on L x C x R and compressed to C."""
+    """Oracle on the full space: the superoperator commutants of the lifted
+    Lbar and Rbar generators, intersected on L x C x R and compressed to C."""
     layout = inv.layout
     d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
 
@@ -395,9 +394,10 @@ def _full_space_conserved(inv):
     rbar_gens = [kron(np.eye(d_L), kron(np.eye(d_C), g)) for g in _clock_shift(d_R)] + [
         kron(np.eye(d_L), kron(b, np.eye(d_R))) for b in inv.B_C.basis
     ]
-    lbar = replace(inv.Lbar, generators=np.asarray(lbar_gens))
-    rbar = replace(inv.Rbar, generators=np.asarray(rbar_gens))
-    joint = intersect(commutant(lbar), commutant(rbar))
+    joint = intersect(
+        superoperator_commutant(np.asarray(lbar_gens), layout),
+        superoperator_commutant(np.asarray(rbar_gens), layout),
+    )
     out_sites = tuple(layout.left) + tuple(layout.right)
     c_mats = []
     for x in joint.basis:
