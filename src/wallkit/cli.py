@@ -300,25 +300,25 @@ def _wall_from_config(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (data dict, artifact writer or None)
+# subcommand implementations: each returns (data dict, artifact or None); an
+# artifact is (kind, build), and build() makes the payload only for --out
 # ---------------------------------------------------------------------------
 
 
 def _cmd_close(cfg):
     alg = _algebra_from_config(cfg)
     data = {"dim": alg.dim, "layout": alg.layout.to_json()}
-    artifact = alg.to_json()
-    return data, ("json", artifact)
+    return data, ("json", alg.to_json)
 
 
 def _cmd_commutant(cfg):
     alg = commutant(_algebra_from_config(cfg))
-    return {"dim": alg.dim}, ("json", alg.to_json())
+    return {"dim": alg.dim}, ("json", alg.to_json)
 
 
 def _cmd_center(cfg):
     alg = algebra_center(_algebra_from_config(cfg))
-    return {"dim": alg.dim}, ("json", alg.to_json())
+    return {"dim": alg.dim}, ("json", alg.to_json)
 
 
 def _cmd_decompose(cfg):
@@ -328,7 +328,7 @@ def _cmd_decompose(cfg):
         "blocks": [list(b) for b in bs.blocks],
         "signature": [list(b) for b in isomorphism_signature(bs)],
     }
-    return data, ("json", bs.to_json())
+    return data, ("json", bs.to_json)
 
 
 def _cmd_synth(cfg):
@@ -339,10 +339,13 @@ def _cmd_synth(cfg):
         "blocks": [list(b) for b in wall.block_structure.blocks],
         "trivial": bool(wall.invariants.improper),
     }
-    artifact = {
-        "U": np.stack([wall.U.real, wall.U.imag], axis=-1).tolist(),
-        "layout": wall.layout.to_json(),
-    }
+
+    def artifact():
+        return {
+            "U": np.stack([wall.U.real, wall.U.imag], axis=-1).tolist(),
+            "layout": wall.layout.to_json(),
+        }
+
     return data, ("json", artifact)
 
 
@@ -379,8 +382,8 @@ def _cmd_lightcone(cfg):
         "max_support_size": max(sizes),
         "final_support": sorted(prof.support_sets[-1]),
     }
-    rows = prof.to_csv_rows()
-    return data, ("csv", (("t", "site", "residual", "in_support"), rows))
+    header = ("t", "site", "residual", "in_support")
+    return data, ("csv", lambda: (header, prof.to_csv_rows()))
 
 
 def _cmd_invariants(cfg):
@@ -398,7 +401,7 @@ def _cmd_invariants(cfg):
 def _cmd_conserved(cfg):
     inv = _wall_from_config(cfg).invariants
     cons = dynamics.conserved_algebra(inv)
-    return {"dim_conserved": cons.dim}, ("json", cons.to_json())
+    return {"dim_conserved": cons.dim}, ("json", cons.to_json)
 
 
 def _cmd_gauge_seq(cfg):
@@ -445,8 +448,12 @@ def _cmd_scan(cfg):
         "detections": [list(w) for w in rep.detections],
         "minimal_windows": [list(w) for w in rep.minimal_windows],
     }
-    rows = [(r.start, r.width, int(r.left), int(r.right)) for r in rep.records]
-    return data, ("csv", (("start", "width", "left", "right"), rows))
+
+    def artifact():
+        rows = [(r.start, r.width, int(r.left), int(r.right)) for r in rep.records]
+        return ("start", "width", "left", "right"), rows
+
+    return data, ("csv", artifact)
 
 
 def _cmd_arealaw(cfg):
@@ -490,7 +497,7 @@ def _cmd_measure(cfg):
         "final_entropy_bits": rec.rounds[-1]["entropy_bits"],
     }
     header = ("round", "outcome", "probability", "schmidt_rank", "entropy_bits")
-    return data, ("csv", (header, rec.to_csv_rows()))
+    return data, ("csv", lambda: (header, rec.to_csv_rows()))
 
 
 def _cmd_sff(cfg):
@@ -512,7 +519,7 @@ def _cmd_sff(cfg):
         "max_sigma_deviation": float(dev.max()),
     }
     header = ("t", "K_mc", "stderr", "K_analytic")
-    return data, ("csv", (header, res.to_csv_rows()))
+    return data, ("csv", lambda: (header, res.to_csv_rows()))
 
 
 # the subcommands: handler and the config keys it reads besides seed; --format
@@ -549,9 +556,11 @@ def _emit(cfg: RunConfig, command: str, status: str, data: dict):
 
 
 def _write_artifact(cfg: RunConfig, artifact):
+    """Build the payload and write it, only when --out is given."""
     if artifact is None or cfg.out is None:
         return
-    kind, payload = artifact
+    kind, build = artifact
+    payload = build()
     if kind == "json" or cfg.format == "json":
         if kind == "csv":
             header, rows = payload

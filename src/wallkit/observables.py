@@ -5,20 +5,21 @@ predictions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
-from ._kernels import trace_powers
+from . import _kernels  # noqa: F401  unused; perfbench's tracer finds it in sys.modules
 from .layout import SeededRng, SystemLayout, as_generator
 from .linalg import dagger, haar_from_ginibre, hs_norm
 from .algebra import cluster_eigenvalues, commutant, contains
 
 SCHMIDT_RANK_TOL = 1e-8
 CLUSTER_TOL = 1e-9  # relative eigenvalue clustering for measurement outcomes
-# complex Ginibre elements per chunk of one SFF size stack (64 KB): a chunk
-# of the whole run would grow peak memory with the sample count
-SFF_CHUNK_ELEMS = 4096
+# complex elements per chunk of one SFF size stack, draws, power buffers and
+# traces together (512 KB): a chunk of the whole run would grow peak memory
+# with the sample count
+SFF_CHUNK_ELEMS = 32768
 
 
 @dataclass
@@ -252,22 +253,62 @@ def sff_mc(blocks, d_L: int, d_R: int, t_max: int, samples: int, rng: SeededRng)
     """Monte-Carlo spectral form factor K(t) = E|tr U^t|^2 over the
     block-Haar ensemble U = ⊕_i T^i (x) R^i, with T^i Haar on L (x) D_i and
     R^i Haar on E_i (x) R for ``blocks`` = [(dim_D_i, dim_E_i), ...].  The
-    Haar ensemble on dimension n is ``sff_mc([(1, 1)], n, 1, ...)``.  Traces
-    are accumulated from block eigenvalues.
+    Haar ensemble on dimension n is ``sff_mc([(1, 1)], n, 1, ...)``.
 
-    All draws come from ``rng.generator()``, one Ginibre stack per block
-    size (see ``_block_eigvals``).  ``blocks`` is sorted first, so the result
-    depends on the block signature and not on the order of the blocks.
+    tr U^t = sum_i tr(T_i^t) tr(R_i^t), so only traces of block powers are
+    needed (``_power_traces``), not spectra.  All draws come from
+    ``rng.generator()``: the blocks of one size n form one stack, drawn in
+    ascending n, sample by sample and block by block, as (n, n, 2) normals
+    (real, imaginary); a chunk of samples then runs QR, the phase fix and the
+    traces together.  A pair's product joins the per-sample total as soon as
+    both its blocks are drawn, in pair order; until then its smaller block
+    waits as its n^2 entries or its t_max traces, whichever is fewer.  The
+    result does not depend on the chunk size.  ``blocks`` is sorted first,
+    so it depends on the block signature and not on the order of the blocks.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     blocks = sorted(blocks)
     d = d_L * sum(dD * dE for dD, dE in blocks) * d_R
-    sizes = []
-    for dD, dE in blocks:
-        sizes.extend([d_L * dD, dE * d_R])
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    per_sample = trace_powers(_block_eigvals(sizes, offsets, samples, rng), offsets, t_max)
+    sizes = [n for dD, dE in blocks for n in (d_L * dD, dE * d_R)]  # T_0, R_0, T_1, ...
+    g = rng.generator()
+    total = np.zeros((samples, t_max), dtype=np.complex128)  # tr U^t, t = 1..t_max
+    waiting = {}  # block j -> its draws or traces, until partner j ^ 1 is drawn
+    for n in sorted(set(sizes)):
+        stack = [j for j, size in enumerate(sizes) if size == n]
+        for j in stack:
+            if sizes[j ^ 1] > n:
+                shape = (n, n) if n * n < t_max else (t_max,)
+                waiting[j] = np.empty((samples, *shape), dtype=np.complex128)
+        pairs = [i for i in range(len(blocks)) if max(sizes[2 * i], sizes[2 * i + 1]) == n]
+        # a chunk's draws and power buffers, with those of waiting draws traced here
+        traced = [n] * len(stack) + [
+            sizes[j] for i in pairs for j in (2 * i, 2 * i + 1)
+            if sizes[j] < n and waiting[j].ndim == 3
+        ]
+        chunk = max(1, SFF_CHUNK_ELEMS // sum(_chunk_elems(k, t_max) for k in traced))
+        col = {j: c for c, j in enumerate(stack)}
+        for s0 in range(0, samples, chunk):
+            m = min(chunk, samples - s0)
+            u = _haar_stack(g, m * len(stack), n).reshape(m, len(stack), n, n)
+            tr = _power_traces(u, t_max)
+            for j, w in waiting.items():
+                if j in col:
+                    w[s0 : s0 + m] = u[:, col[j]] if w.ndim == 3 else tr[:, col[j]]
+            for i in pairs:
+                t_T, t_R = (
+                    tr[:, col[j]] if j in col else _waiting_traces(waiting[j][s0 : s0 + m], t_max)
+                    for j in (2 * i, 2 * i + 1)
+                )
+                total[s0 : s0 + m] += t_T * t_R
+        for i in pairs:
+            waiting.pop(2 * i, None)
+            waiting.pop(2 * i + 1, None)
+    re, im = total.real, total.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    per_sample = re + im
+    del total, re, im  # free the complex total before mean and std allocate theirs
 
     times = np.arange(t_max + 1)
     K = np.empty(t_max + 1)
@@ -279,23 +320,75 @@ def sff_mc(blocks, d_L: int, d_R: int, t_max: int, samples: int, rng: SeededRng)
     return SFFResult(times, K, err, K_an, samples)
 
 
-def _block_eigvals(sizes, offsets, samples: int, rng: SeededRng) -> np.ndarray:
-    """(samples, offsets[-1]) eigenvalues of Haar block unitaries of the given
-    sizes.  The blocks of one size n form one stack, drawn from the one
-    generator in ascending n, sample by sample and block by block, as
-    (n, n, 2) normals (real, imaginary); a chunk of samples then runs QR,
-    phase fix and ``eigvals`` together.  The draws do not depend on the
-    chunk size."""
-    g = rng.generator()
-    eigs = np.empty((samples, offsets[-1]), dtype=np.complex128)
-    for n in sorted(set(sizes)):
-        # eigenvalue columns of the stack, in block order
-        cols = np.concatenate([np.arange(o, o + n) for size, o in zip(sizes, offsets) if size == n])
-        count = sizes.count(n)
-        chunk = max(1, SFF_CHUNK_ELEMS // (count * n * n))
-        for s0 in range(0, samples, chunk):
-            m = min(chunk, samples - s0)
-            x = g.standard_normal((m * count, n, n, 2))
-            u = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
-            eigs[s0 : s0 + m, cols] = np.linalg.eigvals(u).reshape(m, -1)
-    return eigs
+def _haar_stack(g, count: int, n: int) -> np.ndarray:
+    """``count`` Haar unitaries of size n from one (count, n, n, 2) draw of
+    normals (real, imaginary)."""
+    x = g.standard_normal((count, n, n, 2))
+    z = (x[..., 0] + 1j * x[..., 1]) / np.sqrt(2)
+    del x
+    return haar_from_ginibre(z)
+
+
+def _waiting_traces(w: np.ndarray, t_max: int) -> np.ndarray:
+    """Traces of a waiting block: stored as they are, or from its draws."""
+    return w if w.ndim == 2 else _power_traces(w, t_max)
+
+
+def _baby_giant(t_max: int) -> tuple[int, int]:
+    """(k, giants): k = ceil(sqrt(t_max + 1)) baby steps V^0..V^(k-1) and
+    the giant steps V^(bk), b < giants, reach every t <= t_max as bk + a."""
+    k = isqrt(t_max) + 1
+    return k, t_max // k + 1
+
+
+def _chunk_elems(n: int, t_max: int) -> int:
+    """Complex elements one n x n block holds in a chunk: its Ginibre, QR and
+    phase-fix buffers, the power buffers of ``_power_traces`` and its traces."""
+    powers = t_max
+    if n >= 3:
+        k, giants = _baby_giant(t_max)
+        powers = (k + giants + 1) * n * n + giants * k
+    return 4 * n * n + powers + 2 * t_max
+
+
+def _power_traces(v: np.ndarray, t_max: int) -> np.ndarray:
+    """tr(V^t) for t = 1..t_max of each unitary V of the stack ``v``
+    (..., n, n), as (..., t_max).  n = 1: powers of the entry.  n = 2: the
+    Cayley-Hamilton recurrence p_t = tau p_(t-1) - delta p_(t-2) with
+    tau = tr V, delta = det V.  n >= 3: baby steps (V^T)^a, a < k, and giant
+    steps V^(bk) (Paterson-Stockmeyer), so that tr(V^(bk+a)) is one row dot
+    product and a matrix takes about 2 sqrt(t_max) products.  Each matrix
+    gives the same bytes as it would alone."""
+    lead, n = v.shape[:-2], v.shape[-1]
+    v = v.reshape(-1, n, n)
+    m = len(v)
+    if t_max == 0:
+        return np.zeros((*lead, 0), dtype=np.complex128)
+    if n == 1:
+        out = np.cumprod(np.broadcast_to(v[:, 0], (m, t_max)), axis=1)
+    elif n == 2:
+        tau = v[:, 0, 0] + v[:, 1, 1]
+        delta = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+        p = np.empty((t_max + 1, m), dtype=np.complex128)
+        p[0], p[1] = 2, tau
+        for t in range(2, t_max + 1):
+            np.multiply(tau, p[t - 1], out=p[t])
+            p[t] -= delta * p[t - 2]
+        out = p[1:].T
+    else:
+        k, giants = _baby_giant(t_max)
+        baby = np.empty((m, k, n, n), dtype=np.complex128)  # (V^T)^a = (V^a)^T
+        baby[:, 0] = np.eye(n)
+        baby[:, 1] = v.transpose(0, 2, 1)
+        for a in range(2, k):
+            np.matmul(baby[:, a - 1], baby[:, 1], out=baby[:, a])
+        giant = np.empty((m, giants, n, n), dtype=np.complex128)  # V^(bk)
+        giant[:, 0] = np.eye(n)
+        if giants > 1:
+            giant[:, 1] = (baby[:, k - 1] @ baby[:, 1]).transpose(0, 2, 1)
+        for b in range(2, giants):
+            np.matmul(giant[:, b - 1], giant[:, 1], out=giant[:, b])
+        # sum_ij (V^(bk))_ij (V^a)_ji = tr V^(bk+a)
+        tr = giant.reshape(m, giants, n * n) @ baby.reshape(m, k, n * n).transpose(0, 2, 1)
+        out = tr.reshape(m, giants * k)[:, 1 : t_max + 1]
+    return out.reshape(*lead, t_max)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from wallkit import blocks, cli, observables, walls
+from wallkit.algebra import MatrixAlgebra
 from wallkit.cli import COMMANDS, FLAGS, UsageError, parse_config, run
 from wallkit.layout import SeededRng
 from wallkit.observables import sff_mc
@@ -150,7 +151,7 @@ class TestArtifacts:
 
     def test_unencodable_artifact_writes_nothing(self, tmp_path, monkeypatch):
         def bad_close(cfg):
-            return {"dim": 1}, ("json", {"a": [1, 2], "b": object()})
+            return {"dim": 1}, ("json", lambda: {"a": [1, 2], "b": object()})
 
         monkeypatch.setitem(COMMANDS, "close", (bad_close, COMMANDS["close"][1]))
         out = tmp_path / "alg.json"
@@ -162,6 +163,33 @@ class TestArtifacts:
         with pytest.raises(TypeError):
             run(argv)
         assert out.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize(
+        "argv, owner",
+        [
+            (["close", "--generators", "XI,ZX"], "algebra"),
+            (["commutant", "--generators", "XI,ZX"], "algebra"),
+            (["center", "--generators", "XI,ZX"], "algebra"),
+            (["conserved", "--preset", "abelian-pair"], "algebra"),
+            (["decompose", "--generators", "XI,ZX"], "blocks"),
+        ],
+    )
+    def test_json_artifact_is_built_only_for_out(self, argv, owner, capsys, tmp_path, monkeypatch):
+        cls = blocks.BlockStructure if owner == "blocks" else MatrixAlgebra
+        built = []
+        to_json = cls.to_json
+
+        def counting(self):
+            built.append(self)
+            return to_json(self)
+
+        monkeypatch.setattr(cls, "to_json", counting)
+        without = _summary(capsys, argv)
+        assert built == []
+        out = tmp_path / "artifact.json"
+        assert _summary(capsys, argv + ["--out", str(out)]) == without
+        assert len(built) == 1
+        assert json.loads(out.read_text()) == to_json(built[0])
 
     @pytest.mark.parametrize("fail_in", ["format", "write"])
     def test_failed_write_keeps_the_old_file(self, fail_in, capsys, tmp_path, monkeypatch):

@@ -2,13 +2,13 @@
 measurement protocols, and the spectral form factor."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wallkit.layout import SeededRng, SystemLayout
-from wallkit._kernels import trace_powers
 from wallkit import observables
 from wallkit.cli import run
 from wallkit.linalg import haar_from_ginibre, haar_unitary, kron
@@ -16,6 +16,8 @@ from wallkit.observables import (
     SFF_CHUNK_ELEMS,
     AreaLawReport,
     PureState,
+    _chunk_elems,
+    _power_traces,
     classify_observable,
     evolve_state,
     measure,
@@ -345,6 +347,113 @@ def _diag_blocks(seed):
     return decompose(resolve_central_algebra("diag", lay), SeededRng(seed, 7)).blocks
 
 
+T_MAXES = (1, 2, 3, 4, 8, 15, 16, 32, 40)
+
+
+def _rotated(phases, seed):
+    """Q diag(e^{i phases}) Q^dagger for a Haar Q: a unitary with that spectrum."""
+    q = haar_unitary(len(phases), SeededRng(seed))
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def _phase_power_sums(phases, t_max):
+    return np.exp(1j * np.outer(np.arange(1, t_max + 1), phases)).sum(axis=1)
+
+
+def _spectra(n):
+    """Named phase lists of size n: degenerate, near-degenerate and spread."""
+    g = np.random.default_rng(n)
+    out = {
+        "identity": [0.0] * n,
+        "minus-identity": [np.pi] * n,
+        "plus-minus": [0.0, np.pi] * (n // 2) + [0.0] * (n % 2),
+        "spread": list(g.uniform(0, 2 * np.pi, n)),
+    }
+    if n == 2:
+        out["near-degenerate"] = [0.7, 0.7 + 1e-9]
+    if n >= 3:
+        # one triple, one pair and single phases
+        out["repeated"] = ([1.3] * 3 + [-2.1] * 2 + list(g.uniform(0, 2 * np.pi, n)))[:n]
+    return out
+
+
+class TestPowerTraces:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_matches_eigenvalue_power_sums(self, n):
+        g = SeededRng(40 + n).generator()
+        v = np.stack([haar_unitary(n, g) for _ in range(4)])
+        eigs = np.linalg.eigvals(v)
+        for t_max in T_MAXES:
+            want = (eigs[:, None, :] ** np.arange(1, t_max + 1)[:, None]).sum(axis=2)
+            got = _power_traces(v, t_max)
+            assert got.shape == (4, t_max)
+            # |tr V^t| <= n: the tolerance is relative to that scale
+            assert np.abs(got - want).max() <= 1e-10 * n, t_max
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_degenerate_spectra(self, n):
+        for name, phases in _spectra(n).items():
+            v = _rotated(phases, 50 + n)
+            for t_max in T_MAXES:
+                got = _power_traces(v, t_max)
+                want = _phase_power_sums(phases, t_max)
+                assert np.abs(got - want).max() <= 1e-10 * n, (name, t_max)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+    def test_stack_gives_the_bytes_of_single_calls(self, n):
+        g = SeededRng(60 + n).generator()
+        v = np.stack([haar_unitary(n, g) for _ in range(6)])
+        for t_max in (1, 7, 32):
+            stacked = _power_traces(v.reshape(2, 3, n, n), t_max)
+            assert stacked.shape == (2, 3, t_max)
+            for i in range(6):
+                single = _power_traces(v[i], t_max)
+                assert single.shape == (t_max,)
+                assert single.tobytes() == stacked[i // 3, i % 3].tobytes()
+
+    def test_no_times(self):
+        assert _power_traces(np.eye(3), 0).shape == (0,)
+
+
+def _ensembles():
+    """(blocks, d_L, d_R) of the block layouts the SFF route tests run."""
+    wall = preset_wall("reducible-composite")
+    return {
+        "reducible-composite": (
+            wall.block_structure.blocks, wall.layout.d_left, wall.layout.d_right,
+        ),
+        "haar": ([(1, 1)], 4, 1),
+        "mixed": ([(1, 2), (2, 1)], 4, 3),
+        "haar16": ([(1, 1)], 16, 1),
+    }
+
+
+def _eigvals_route(blocks, d_L, d_R, t_max, samples, rng):
+    """Oracle: K_mc[1:] and stderr[1:] of ``sff_mc`` from block spectra.  The
+    draws are ``sff_mc``'s (one stack per block size, ascending); ``eigvals``
+    of each block, then tr U^t = sum_i tr(T_i^t) tr(R_i^t) in block order."""
+    sizes = [n for dD, dE in sorted(blocks) for n in (d_L * dD, dE * d_R)]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    g = rng.generator()
+    eigs = np.empty((samples, offsets[-1]), dtype=complex)
+    for n in sorted(set(sizes)):
+        cols = np.concatenate([np.arange(o, o + n) for size, o in zip(sizes, offsets) if size == n])
+        x = g.standard_normal((samples * sizes.count(n), n, n, 2))
+        u = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
+        eigs[:, cols] = np.linalg.eigvals(u).reshape(samples, -1)
+    per_sample = np.empty((samples, t_max))
+    powers = np.ones_like(eigs)
+    for t in range(1, t_max + 1):
+        powers *= eigs
+        tr = sum(
+            powers[:, offsets[j] : offsets[j + 1]].sum(axis=1)
+            * powers[:, offsets[j + 1] : offsets[j + 2]].sum(axis=1)
+            for j in range(0, len(sizes), 2)
+        )
+        per_sample[:, t - 1] = tr.real**2 + tr.imag**2
+    return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=1) / np.sqrt(samples)
+
+
 class TestSFFMonteCarlo:
     def test_diag_wall_matches_prediction(self):
         res = sff_mc(_diag_blocks(24), 2, 2, t_max=8, samples=3000, rng=SeededRng(24))
@@ -374,38 +483,67 @@ class TestSFFMonteCarlo:
         spread = np.std(np.abs(ta + tb) ** 2) / np.sqrt(n)
         assert abs(total - expected) < 4 * spread
 
-    @pytest.mark.parametrize("ensemble", ["reducible-composite", "haar"])
+    @pytest.mark.parametrize("ensemble", ["reducible-composite", "haar", "mixed"])
     def test_batched_matches_per_sample_loop(self, ensemble):
         # reference: for each block size in ascending order, sample by sample
-        # and block by block, one (n, n, 2) Ginibre draw, QR and eigvals
-        if ensemble == "haar":
-            blocks, d_L, d_R = [(1, 1)], 4, 1
-        else:
-            wall = preset_wall(ensemble)
-            blocks = wall.block_structure.blocks
-            d_L, d_R = wall.layout.d_left, wall.layout.d_right
+        # and block by block, one (n, n, 2) Ginibre draw, QR and the traces of
+        # that one matrix; then per sample the pair products in the order the
+        # pairs complete (by their larger block, then in pair order).
+        # reducible-composite: n = 2 blocks wait as draws; haar: an n = 1
+        # block waits; mixed: n = 3 waits as draws, n = 4 as traces
+        blocks, d_L, d_R = _ensembles()[ensemble]
+        t_max = 12
         sizes = [n for dD, dE in sorted(blocks) for n in (d_L * dD, dE * d_R)]
         assert len(set(sizes)) > 1
-        # two full chunks and a partial one of the largest size stack
-        chunk = SFF_CHUNK_ELEMS // max(sizes.count(n) * n * n for n in sizes)
+        # at least two full chunks and a partial one of the costliest stack
+        chunk = SFF_CHUNK_ELEMS // max(sizes.count(n) * _chunk_elems(n, t_max) for n in sizes)
         samples = 2 * chunk + chunk // 2 + 1
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        eigs = np.empty((samples, offsets[-1]), dtype=complex)
+        traces = {}
         g = SeededRng(29).generator()
         for n in sorted(set(sizes)):
             for s in range(samples):
-                for size, start in zip(sizes, offsets):
+                for j, size in enumerate(sizes):
                     if size == n:
                         x = g.standard_normal((n, n, 2))
                         u = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
-                        eigs[s, start : start + n] = np.linalg.eigvals(u)
-        per_sample = trace_powers(eigs, offsets, 12)
+                        traces[s, j] = _power_traces(u, t_max)
+        pairs = sorted(range(len(blocks)), key=lambda i: max(sizes[2 * i : 2 * i + 2]))
+        total = np.zeros((samples, t_max), dtype=complex)
+        for s in range(samples):
+            for i in pairs:
+                total[s] += traces[s, 2 * i] * traces[s, 2 * i + 1]
+        per_sample = total.real**2 + total.imag**2
 
-        res = sff_mc(blocks, d_L, d_R, t_max=12, samples=samples, rng=SeededRng(29))
+        res = sff_mc(blocks, d_L, d_R, t_max=t_max, samples=samples, rng=SeededRng(29))
         assert np.array_equal(res.K_mc[1:], per_sample.mean(axis=0))
         assert np.array_equal(
             res.stderr[1:], per_sample.std(axis=0, ddof=1) / np.sqrt(samples)
         )
+
+    @pytest.mark.parametrize("ensemble", ["reducible-composite", "haar", "mixed", "haar16"])
+    def test_matches_eigenvalue_route(self, ensemble):
+        # same draws, traces from block spectra instead of matrix powers
+        blocks, d_L, d_R = _ensembles()[ensemble]
+        res = sff_mc(blocks, d_L, d_R, t_max=32, samples=400, rng=SeededRng(32))
+        K, err = _eigvals_route(blocks, d_L, d_R, 32, 400, SeededRng(32))
+        assert res.K_mc[1:] == pytest.approx(K, rel=1e-12)
+        assert res.stderr[1:] == pytest.approx(err, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "blocks, d_L, d_R, samples",
+        [([(1, 1)] * 4, 2, 1, 1000), ([(1, 1)], 16, 1, 1000), ([(1, 1), (1, 1)], 2, 2, 1600)],
+    )
+    def test_peak_memory_stays_near_the_output(self, blocks, d_L, d_R, samples):
+        # the complex total alone is 2 * samples * t_max * 8 B; chunk buffers,
+        # waiting blocks and the statistics fit in four more real tables
+        sff_mc(blocks, d_L, d_R, t_max=32, samples=samples, rng=SeededRng(33))
+        tracemalloc.start()
+        try:
+            sff_mc(blocks, d_L, d_R, t_max=32, samples=samples, rng=SeededRng(33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * samples * 32 * 8
 
     def test_chunk_size_does_not_change_output(self, monkeypatch):
         def draw():
