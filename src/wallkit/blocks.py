@@ -144,18 +144,17 @@ def decompose(alg: MatrixAlgebra, rng, tol: float = RANK_TOL) -> BlockStructure:
         blocks.append((dD, dE))
         V[:, pos : pos + m] = Q @ Vloc
         pos += m
-    bs = BlockStructure(blocks, V, projectors, alg.layout)
-    resid = _verify_block_form(alg, bs)
+    resid = _verify_block_form(alg.basis, V, blocks)
     if resid > VERIFY_TOL:
         raise RuntimeError(f"decomposition inconsistent: residual {resid:.2e}")
-    return bs
+    return BlockStructure(blocks, V, projectors, alg.layout)
 
 
-def _verify_block_form(alg: MatrixAlgebra, bs: BlockStructure) -> float:
-    """Max residual of conjugated basis elements against ⊕ m (x) 1_E form."""
-    bb = dagger(bs.V) @ alg.basis @ bs.V
+def _verify_block_form(basis: np.ndarray, V: np.ndarray, blocks) -> float:
+    """Max residual of the basis in the frame V against ⊕ m (x) 1_E over ``blocks``."""
+    bb = dagger(V) @ basis @ V
     approx = np.zeros_like(bb)
-    for off, (dD, dE) in zip(bs.block_offsets(), bs.blocks):
+    for off, (dD, dE) in zip(np.cumsum([0] + [dD * dE for dD, dE in blocks]), blocks):
         m = dD * dE
         sub = bb[:, off : off + m, off : off + m].reshape(-1, dD, dE, dD, dE)
         core = np.trace(sub, axis1=2, axis2=4) / dE

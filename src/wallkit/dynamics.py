@@ -8,14 +8,13 @@ from math import prod
 
 import numpy as np
 
-from .layout import SystemLayout, as_generator
+from .layout import SystemLayout
 from .linalg import (
     RANK_TOL,
     ZERO_TOL,
     dagger,
     embed,
     hs_norm,
-    orthonormal_basis,
     partial_trace,
 )
 from .algebra import (
@@ -26,7 +25,7 @@ from .algebra import (
     max_commutator,
     relative_commutant,
 )
-from .blocks import decompose, isomorphism_signature
+from .blocks import VERIFY_TOL, _verify_block_form
 
 # residual threshold for "operator has escaped the allowed region"
 ESCAPE_TOL = 1e-9
@@ -390,40 +389,41 @@ def conserved_algebra(inv: WallReport, tol: float = RANK_TOL) -> MatrixAlgebra:
 @dataclass
 class GaugedSequenceReport:
     spaces: list[MatrixAlgebra]
-    signatures: list[tuple]
-    all_equal: bool
+    signature: tuple  # of Lbar, carried to every span
+    residuals: list[float]  # of each span against the block form of its frame
+    all_equal: bool  # every residual is within VERIFY_TOL
 
 
-def gauged_sequence(wall, gauges, rng=None, tol: float = RANK_TOL) -> GaugedSequenceReport:
+def gauged_sequence(wall, gauges) -> GaugedSequenceReport:
     """Evolve the left-invariant algebra through a gauged wall sequence
-    U~_tau = G_tau^dag U G_{tau-1} and report isomorphism signatures.
+    U~_tau = G_tau^dag U G_{tau-1}, carrying its block frame along.
 
     ``wall`` is a ``WallUnitary``, whose ``invariants`` give Lbar;
-    ``gauges`` lists G_0 .. G_T; G_0 must preserve the Lbar span.
+    ``gauges`` lists G_0 .. G_T; G_0 must preserve the Lbar span.  The frame
+    of Lbar = M_L x A_C x 1_R is 1_L x V_C x 1_R over the wall's frame V_C of
+    A_C, its columns grouped per block as (l, a, e, r): blocks (d_L D_i,
+    E_i d_R).  Step tau conjugates the span by U~_tau (U~_0 = G_0), which
+    moves its HS-orthonormal basis and its frame alike, and records the
+    span's residual against the frame's block form.
     """
-    U, layout = np.asarray(wall.U, dtype=complex), wall.layout
     lbar = wall.invariants.Lbar
     G0 = np.asarray(gauges[0], dtype=complex)
     for x in lbar.basis:
         moved = G0 @ x @ dagger(G0)
         if hs_norm(moved - lbar.project(moved)) > 1e-9:
             raise ValueError("G_0 does not preserve the left-invariant algebra")
-    current = MatrixAlgebra(
-        orthonormal_basis(np.asarray([G0 @ x @ dagger(G0) for x in lbar.basis]), tol),
-        layout,
-    )
-    rng = as_generator(rng if rng is not None else 0)
-    spaces = [current]
-    signatures = [isomorphism_signature(decompose(current, rng))]
-    for tau in range(1, len(gauges)):
-        Ut = dagger(np.asarray(gauges[tau], dtype=complex)) @ U @ np.asarray(
-            gauges[tau - 1], dtype=complex
-        )
-        moved = np.asarray([Ut @ x @ dagger(Ut) for x in current.basis])
-        current = MatrixAlgebra(orthonormal_basis(moved, tol), layout)
-        spaces.append(current)
-        signatures.append(isomorphism_signature(decompose(current, rng)))
-    return GaugedSequenceReport(spaces, signatures, all(s == signatures[0] for s in signatures))
+    bs, d_L, d_R = wall.block_structure, wall.layout.d_left, wall.layout.d_right
+    blocks = [(d_L * dD, dE * d_R) for dD, dE in bs.blocks]
+    V = np.concatenate([
+        np.kron(np.kron(np.eye(d_L), bs.V[:, off : off + dD * dE]), np.eye(d_R))
+        for off, (dD, dE) in zip(bs.block_offsets(), bs.blocks)
+    ], axis=1)
+    basis, spaces, residuals = lbar.basis, [], []
+    for Ut in [G0] + [dagger(G) @ wall.U @ G_prev for G_prev, G in zip(gauges, gauges[1:])]:
+        basis, V = Ut @ basis @ dagger(Ut), Ut @ V
+        spaces.append(MatrixAlgebra(basis, wall.layout))
+        residuals.append(_verify_block_form(basis, V, blocks))
+    return GaugedSequenceReport(spaces, tuple(sorted(blocks)), residuals, max(residuals) <= VERIFY_TOL)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 from . import _kernels  # noqa: F401  unused; perfbench's tracer finds it in sys.modules
 from .layout import SeededRng, SystemLayout, as_generator
 from .linalg import dagger, haar_from_ginibre, hs_norm
-from .algebra import cluster_eigenvalues, commutant, contains
+from .algebra import cluster_eigenvalues, contains, max_commutator
 
 SCHMIDT_RANK_TOL = 1e-8
 CLUSTER_TOL = 1e-9  # relative eigenvalue clustering for measurement outcomes
@@ -190,7 +190,7 @@ def classify_observable(wall, M_C, tol: float = 1e-9) -> str:
     """Whether the observable lies in A_C, in its commutant, or in neither."""
     if contains(wall.A_C, M_C, tol):
         return "central"
-    if contains(commutant(wall.A_C), M_C, tol):
+    if max_commutator(np.asarray(M_C)[None], wall.A_C.basis) <= tol * hs_norm(M_C):
         return "commutant"
     return "neither"
 

@@ -269,9 +269,9 @@ def test_criterion_9_gauge_invariance():
         d = wall.layout.dim
         g = SeededRng(960, i).generator()
         gauges = [np.eye(d)] + [haar_unitary(d, g) for _ in range(20)]
-        rep = gauged_sequence(wall, gauges, rng=SeededRng(961))
+        rep = gauged_sequence(wall, gauges)
         if not rep.all_equal:
-            problems.append(f"{name}: signatures drift {rep.signatures}")
+            problems.append(f"{name}: block-form residual {max(rep.residuals):.2e}")
     _report(
         9, not problems,
         "isomorphism signatures constant along 20-step Haar-gauged sequences "

@@ -19,6 +19,7 @@ from wallkit import blocks, cli, observables, walls
 from wallkit.algebra import MatrixAlgebra
 from wallkit.cli import COMMANDS, FLAGS, UsageError, parse_config, run
 from wallkit.layout import SeededRng
+from wallkit.linalg import haar_unitary
 from wallkit.observables import sff_mc
 
 SCHEMA = json.loads(
@@ -598,11 +599,33 @@ class TestSffOneClosure:
              "--out", str(out)],
         )
         res = sff_mc([(1, 1)], 4, 1, 6, 300, SeededRng(3, 51))
-        dev = np.abs(res.K_mc[1:] - res.K_analytic[1:]) / np.maximum(res.stderr[1:], 1e-30)
+        floor = np.finfo(float).eps * res.K_analytic[1:] * np.sqrt(300)
+        dev = np.abs(res.K_mc[1:] - res.K_analytic[1:]) / np.maximum(res.stderr[1:], floor)
         assert p["data"] == {"t_max": 6, "samples": 300, "max_sigma_deviation": float(dev.max())}
         expected = tmp_path / "expected.csv"
         cli._write_csv(expected, ("t", "K_mc", "stderr", "K_analytic"), res.to_csv_rows())
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ensemble_without_variance_reads_no_deviation(self, seed, capsys):
+        # every 1 x 1 phase has |tr U^t|^2 = 1, so K_mc differs from K by
+        # rounding alone, which the standard-error floor keeps below one sigma
+        argv = ["sff", "--haar-dim", "1", "--t-max", "100", "--samples", "4000", "--seed", str(seed)]
+        assert _summary(capsys, argv)["data"]["max_sigma_deviation"] < 1
+
+
+class TestGaugeSeqDrift:
+    def test_off_span_step_is_a_property_violation(self, capsys, monkeypatch):
+        draws = []
+
+        def second_draw_off_unitary(d, g):
+            draws.append(haar_unitary(d, g))
+            return draws[-1] + (1e-6 * np.eye(d) if len(draws) == 2 else 0)
+
+        monkeypatch.setattr(cli, "haar_unitary", second_draw_off_unitary)
+        p = _summary(capsys, ["gauge-seq", "--preset", "abelian-pair", "--t-max", "3"], 2)
+        assert p["status"] == "property-violation"
+        assert p["data"] == {"steps": 3, "signature": [[2, 2], [2, 2]], "all_equal": False}
 
 
 class TestArealawStateCap:

@@ -6,6 +6,7 @@ import pytest
 
 import wallkit.cli as cli
 import wallkit.dynamics as dynamics
+from wallkit.blocks import VERIFY_TOL
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import (
     RANK_TOL,
@@ -48,7 +49,7 @@ from wallkit.walls import (
     resolve_central_algebra,
     synth_wall,
 )
-from conftest import superoperator_commutant
+from conftest import decomposed_gauged_sequence, superoperator_commutant
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L3 = SystemLayout((2, 2, 2))
@@ -460,11 +461,20 @@ class TestConserved:
             assert np.max(np.abs(moved - lifted)) < 1e-8
 
 
+def _criterion_9_sequences():
+    """The presets with the 20-step Haar gauges of acceptance criterion 9."""
+    for i, name in enumerate(PRESET_NAMES):
+        wall = preset_wall(name, seed=0)
+        d = wall.layout.dim
+        g = SeededRng(960, i).generator()
+        yield wall, [np.eye(d)] + [haar_unitary(d, g) for _ in range(20)]
+
+
 class TestGaugedSequence:
     def test_identity_gauges_constant(self):
         wall = preset_wall("abelian-pair")
         d = wall.layout.dim
-        rep = gauged_sequence(wall, [np.eye(d)] * 4, rng=SeededRng(22))
+        rep = gauged_sequence(wall, [np.eye(d)] * 4)
         assert rep.all_equal
         for sp in rep.spaces[1:]:
             assert equals(rep.spaces[0], sp)
@@ -474,20 +484,40 @@ class TestGaugedSequence:
         d = wall.layout.dim
         g = SeededRng(23).generator()
         gauges = [np.eye(d)] + [haar_unitary(d, g) for _ in range(4)]
-        rep = gauged_sequence(wall, gauges, rng=SeededRng(24))
+        rep = gauged_sequence(wall, gauges)
         assert rep.all_equal
         # Lbar = M_L (x) M_D (x) 1 is a single M_4 factor with multiplicity 4
-        assert rep.signatures[0] == ((4, 4),)
+        assert rep.signature == ((4, 4),)
 
     def test_recurrence_with_periodic_gauges(self):
         wall = preset_wall("abelian-pair")
         d = wall.layout.dim
         G1 = haar_unitary(d, SeededRng(25))
         gauges = [np.eye(d), G1, np.eye(d), G1, np.eye(d)]
-        rep = gauged_sequence(wall, gauges, rng=SeededRng(26))
+        rep = gauged_sequence(wall, gauges)
         # the gauge cancels over a period: tau = 2 returns to tau = 0
         assert equals(rep.spaces[2], rep.spaces[0])
         assert equals(rep.spaces[4], rep.spaces[0])
+
+    def test_carried_frame_matches_fresh_decompositions(self):
+        for wall, gauges in _criterion_9_sequences():
+            rep = gauged_sequence(wall, gauges)
+            spaces, signatures = decomposed_gauged_sequence(wall, gauges, SeededRng(961))
+            assert signatures == [rep.signature] * len(gauges), wall.name
+            assert all(equals(a, b) for a, b in zip(spaces, rep.spaces)), wall.name
+            # the carried block form holds far inside its bound
+            assert max(rep.residuals) < 1e-12, wall.name
+
+    def test_non_unitary_step_breaks_the_block_form(self):
+        wall = preset_wall("abelian-pair")
+        d = wall.layout.dim
+        g = SeededRng(29).generator()
+        gauges = [np.eye(d)] + [haar_unitary(d, g) for _ in range(4)]
+        gauges[2] = gauges[2] + 1e-6 * np.eye(d)  # 1e-6 away from unitary
+        rep = gauged_sequence(wall, gauges)
+        assert not rep.all_equal
+        assert max(rep.residuals[:2]) < 1e-12
+        assert rep.residuals[2] > VERIFY_TOL
 
     def test_bad_initial_gauge_rejected(self):
         wall = preset_wall("abelian-pair")
@@ -496,7 +526,7 @@ class TestGaugedSequence:
         ) @ embed(PAULI["X"], (1,), wall.layout)
         G0 = haar_unitary(wall.layout.dim, SeededRng(27))
         with pytest.raises(ValueError):
-            gauged_sequence(wall, [G0, np.eye(wall.layout.dim)], rng=SeededRng(28))
+            gauged_sequence(wall, [G0, np.eye(wall.layout.dim)])
 
 
 class TestFragments:
