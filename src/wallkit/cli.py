@@ -76,7 +76,7 @@ FLAGS = {
     "t_max": Flag(int, 20, low=0),
     "samples": Flag(int, 4000, low=1),
     "rounds": Flag(int, 10, low=1),
-    "observable": Flag(str, "Z"),
+    "observable": Flag(str),
     "seed_site": Flag(int, 0),
     "seed_pauli": Flag(str, "Z"),
     "out": Flag(str),
@@ -459,12 +459,11 @@ def _cmd_scan(cfg):
 def _cmd_arealaw(cfg):
     wall = _wall_from_config(cfg)
     g = SeededRng(cfg.seed, 31).generator()
-    worst_rank, bound = 0, wall.A_C.dim
     n_states = min(cfg.samples, AREALAW_MAX_STATES)
-    for _ in range(n_states):
-        psi0 = observables.random_product_state(wall.layout, g)
-        rep = observables.verify_area_law(wall, psi0, cfg.t_max)
-        worst_rank = max(worst_rank, rep.max_rank)
+    states = [observables.random_product_state(wall.layout, g) for _ in range(n_states)]
+    reports = observables.verify_area_law(wall, states, cfg.t_max)
+    bound = wall.A_C.dim
+    for rep in reports:
         if not rep.passed:
             blocks = [{k: b[k] for k in ("block", "bound", "violations")}
                       for b in rep.block_results if b["violations"]]
@@ -472,15 +471,21 @@ def _cmd_arealaw(cfg):
                 "area-law bound violated",
                 {"bound": bound, "violations": rep.violations, "block_violations": blocks},
             )
-    data = {"bound": bound, "max_rank": worst_rank, "states": n_states, "t_max": cfg.t_max}
+    max_rank = max(rep.max_rank for rep in reports)
+    data = {"bound": bound, "max_rank": max_rank, "states": n_states, "t_max": cfg.t_max}
     return data, None
 
 
 def _cmd_measure(cfg):
     wall = _wall_from_config(cfg)
     d_C = wall.layout.d_center
+    observable = cfg.observable
+    if observable is None:  # Z on every central qubit
+        if set(wall.layout.center_dims) != {2}:
+            raise UsageError("the central region is not all qubits: give --observable")
+        observable = "Z" * len(wall.layout.center_dims)
     try:
-        obs = pauli_string(cfg.observable)
+        obs = pauli_string(observable)
     except ValueError as exc:
         raise UsageError(str(exc))
     if obs.shape != (d_C, d_C):

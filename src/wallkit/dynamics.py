@@ -13,9 +13,7 @@ from .linalg import (
     RANK_TOL,
     ZERO_TOL,
     dagger,
-    embed,
     hs_norm,
-    partial_trace,
 )
 from .algebra import (
     MatrixAlgebra,
@@ -29,6 +27,8 @@ from .blocks import VERIFY_TOL, _verify_block_form
 
 # residual threshold for "operator has escaped the allowed region"
 ESCAPE_TOL = 1e-9
+# complex elements of one chunk of evolved operators in ``lightcone``
+LIGHTCONE_CHUNK_ELEMS = 2**22
 
 
 def evolve_op(U: np.ndarray, O: np.ndarray, t: int) -> np.ndarray:
@@ -46,19 +46,32 @@ def support(O: np.ndarray, layout: SystemLayout, tol: float = ZERO_TOL):
     """Sites where O acts non-trivially, with per-site residuals.
 
     Site s is excluded iff replacing its factor by the normalized partial
-    trace changes O by less than ``tol`` relative to ||O||.
+    trace changes O by less than ``tol`` relative to ||O||.  ``O`` is one
+    (d, d) matrix, giving a set and (n_sites,) residuals, or an (n, d, d)
+    stack, giving a list of n sets and (n, n_sites) residuals.  A zero
+    operator has empty support and zero residuals.
     """
     O = np.asarray(O, dtype=complex)
-    norm = hs_norm(O)
-    residuals = np.zeros(layout.n_sites)
-    if norm < ZERO_TOL:
-        return set(), residuals
-    for s in range(layout.n_sites):
-        reduced = partial_trace(O, {s}, layout) / layout.site_dims[s]
-        rest = [q for q in range(layout.n_sites) if q != s]
-        lifted = embed(reduced, rest, layout) if rest else reduced * np.eye(layout.dim)
-        residuals[s] = hs_norm(O - lifted) / norm
-    return {s for s in range(layout.n_sites) if residuals[s] >= tol}, residuals
+    dims = layout.site_dims
+    stack = O.reshape(-1, layout.dim, layout.dim)
+    norms = [hs_norm(x) for x in stack]
+    live = [i for i, norm in enumerate(norms) if norm >= ZERO_TOL]
+    residuals = np.zeros((len(stack), layout.n_sites))
+    R = np.empty_like(stack)  # O - reduced (x) 1, one site at a time
+    for s, d_s in enumerate(dims):
+        a, b = prod(dims[:s]), prod(dims[s + 1 :])
+        T = stack.reshape(-1, a, d_s, b, a, d_s, b)
+        reduced = np.trace(T, axis1=2, axis2=5) / d_s
+        R_s = R.reshape(T.shape)
+        R_s[...] = T
+        for j in range(d_s):  # the identity on site s: only its diagonal changes
+            R_s[:, :, j, :, :, j] -= reduced
+        for i in live:
+            residuals[i, s] = hs_norm(R[i]) / norms[i]
+    sets = [set() for _ in stack]
+    for i in live:
+        sets[i] = {s for s in range(layout.n_sites) if residuals[i, s] >= tol}
+    return (sets[0], residuals[0]) if O.ndim == 2 else (sets, residuals)
 
 
 @dataclass
@@ -76,16 +89,24 @@ class LightConeProfile:
 
 
 def lightcone(U, seed_op, layout: SystemLayout, t_max: int, tol: float = ZERO_TOL) -> LightConeProfile:
-    """Support of the evolved seed operator for t = 0..t_max."""
+    """Support of the evolved seed operator for t = 0..t_max.
+
+    The evolved operators are scored by ``support`` in chunks of time steps
+    of at most ``LIGHTCONE_CHUNK_ELEMS`` complex elements, so peak memory
+    does not grow with t_max."""
     O = np.asarray(seed_op, dtype=complex)
     Ud = dagger(U)
+    steps = max(1, LIGHTCONE_CHUNK_ELEMS // O.size)
     sets, residuals = [], np.zeros((t_max + 1, layout.n_sites))
-    for t in range(t_max + 1):
-        sup, res = support(O, layout, tol)
-        sets.append(sup)
-        residuals[t] = res
-        if t < t_max:
-            O = U @ O @ Ud
+    for t0 in range(0, t_max + 1, steps):
+        chunk = np.empty((min(steps, t_max + 1 - t0),) + O.shape, dtype=complex)
+        for i in range(len(chunk)):
+            if t0 + i:
+                O = U @ O @ Ud
+            chunk[i] = O
+        sup, res = support(chunk, layout, tol)
+        sets += sup
+        residuals[t0 : t0 + len(chunk)] = res
     return LightConeProfile(list(range(t_max + 1)), sets, residuals)
 
 
@@ -408,10 +429,11 @@ def gauged_sequence(wall, gauges) -> GaugedSequenceReport:
     """
     lbar = wall.invariants.Lbar
     G0 = np.asarray(gauges[0], dtype=complex)
-    for x in lbar.basis:
-        moved = G0 @ x @ dagger(G0)
-        if hs_norm(moved - lbar.project(moved)) > 1e-9:
-            raise ValueError("G_0 does not preserve the left-invariant algebra")
+    moved = G0 @ lbar.basis @ dagger(G0)
+    coeff = np.tensordot(moved, lbar.basis.conj(), axes=([1, 2], [1, 2]))  # <b_j, moved_i>
+    resid = moved - np.tensordot(coeff, lbar.basis, axes=(1, 0))
+    if np.linalg.norm(resid.reshape(len(resid), -1), axis=1).max() > 1e-9:
+        raise ValueError("G_0 does not preserve the left-invariant algebra")
     bs, d_L, d_R = wall.block_structure, wall.layout.d_left, wall.layout.d_right
     blocks = [(d_L * dD, dE * d_R) for dD, dE in bs.blocks]
     V = np.concatenate([

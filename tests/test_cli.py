@@ -843,6 +843,37 @@ class TestScanWidthCap:
         assert rows["1000000000000"][1] < 1.0
 
 
+class TestArealawOneCall:
+    def test_all_states_in_one_call_first_failure_reported(self, capsys, monkeypatch):
+        calls = []
+
+        def reports(wall, states, t_max):
+            calls.append(len(states))
+            good = observables.AreaLawReport(t_max, 2, 2, [], [])
+            bad = [observables.AreaLawReport(t_max, 2, 3, [(t, 3)], []) for t in (1, 2)]
+            return [good, bad[0], good, bad[1]] + [good] * (len(states) - 4)
+
+        monkeypatch.setattr(cli.observables, "verify_area_law", reports)
+        p = _summary(capsys, ["arealaw", "--preset", "abelian-pair", "--t-max", "3"], expect_code=2)
+        assert calls == [20]
+        assert p["data"] == {"bound": 2, "violations": [[1, 3]], "block_violations": []}
+
+
+class TestMeasureDefaultObservable:
+    @pytest.mark.parametrize("preset", walls.PRESET_NAMES)
+    def test_z_on_every_central_qubit(self, preset, capsys):
+        n = len(walls.PRESETS[preset].center)
+        p = _summary(capsys, ["measure", "--preset", preset, "--rounds", "3"])
+        explicit = _summary(capsys, ["measure", "--preset", preset, "--rounds", "3",
+                                     "--observable", "Z" * n])
+        assert p == explicit
+
+    def test_non_qubit_center_needs_an_observable(self, capsys):
+        code, out, err = _run(capsys, ["measure", "--dims", "2,3,2"])
+        assert code == 1 and out == ""
+        assert "--observable" in json.loads(err)["error"]
+
+
 class TestArealawBlockViolations:
     def test_block_only_failure_is_listed(self, capsys, monkeypatch):
         report = observables.AreaLawReport(
@@ -853,7 +884,9 @@ class TestArealawBlockViolations:
                  "weight": 0.8},
             ],
         )
-        monkeypatch.setattr(cli.observables, "verify_area_law", lambda *a, **k: report)
+        monkeypatch.setattr(
+            cli.observables, "verify_area_law", lambda wall, states, *a, **k: [report] * len(states)
+        )
         p = _summary(capsys, ["arealaw", "--preset", "abelian-pair", "--t-max", "3"], expect_code=2)
         assert p["status"] == "property-violation"
         assert p["data"]["violations"] == []

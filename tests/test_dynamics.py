@@ -1,6 +1,8 @@
 """Dynamics tests: operator spreading, wall verification, conserved charges,
 gauged sequences, fragment counting, and chain scanning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,38 @@ class TestSupport:
         sup, _ = support(np.zeros((8, 8)), L3)
         assert sup == set()
 
+    @staticmethod
+    def _mixed_stack(layout):
+        U = haar_unitary(layout.dim, SeededRng(30))
+        ops = [np.zeros((layout.dim, layout.dim)), np.eye(layout.dim)]
+        for site in range(layout.n_sites):
+            if layout.site_dims[site] == 2:
+                ops += [evolve_op(U, embed(P, (site,), layout), t) for P in (X, Z) for t in (0, 1)]
+        return np.stack(ops).astype(complex)
+
+    @pytest.mark.parametrize("layout", [L3, SystemLayout((3, 2, 2, 4)), SystemLayout((2,))])
+    def test_stack_equals_per_matrix_calls(self, layout):
+        stack = self._mixed_stack(layout)
+        sets, res = support(stack, layout)
+        assert res.shape == (len(stack), layout.n_sites)
+        for O, sup, r in zip(stack, sets, res):
+            one_sup, one_res = support(O, layout)
+            assert sup == one_sup
+            assert np.array_equal(r, one_res)
+        assert sets[0] == sets[1] == set() and not res[:2].any()
+
+    @pytest.mark.parametrize("layout", [L3, SystemLayout((3, 2, 2, 4))])
+    def test_residuals_keep_the_bytes_of_partial_trace_and_embed(self, layout):
+        # the per-site route: partial_trace, embed (kron plus transpose), norm
+        for O in self._mixed_stack(layout)[2:]:
+            norm = np.linalg.norm(O)
+            ref = []
+            for s in range(layout.n_sites):
+                reduced = partial_trace(O, {s}, layout) / layout.site_dims[s]
+                rest = [q for q in range(layout.n_sites) if q != s]
+                ref.append(np.linalg.norm(O - embed(reduced, rest, layout)) / norm)
+            assert np.array_equal(support(O, layout)[1], ref)
+
 
 class TestLightcone:
     def test_wall_arrests_left_seed(self):
@@ -95,6 +129,37 @@ class TestLightcone:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             evolve_op(np.eye(2), X, -1)
+
+    def test_chunks_give_the_profile_of_one_pass(self, monkeypatch):
+        wall = preset_wall("nonabelian-cnot")
+        seed = embed(X, (1,), wall.layout)
+        one = lightcone(wall.U, seed, wall.layout, t_max=30)
+        monkeypatch.setattr(dynamics, "LIGHTCONE_CHUNK_ELEMS", 7 * wall.layout.dim**2)
+        chunked = lightcone(wall.U, seed, wall.layout, t_max=30)
+        assert chunked.support_sets == one.support_sets
+        assert np.array_equal(chunked.residuals, one.residuals)
+
+    def test_peak_memory_does_not_grow_with_t_max(self, monkeypatch):
+        wall = preset_wall("uncoupled-center")  # d = 32
+        d = wall.layout.dim
+        monkeypatch.setattr(dynamics, "LIGHTCONE_CHUNK_ELEMS", 16 * d * d)
+        calls = []
+
+        def counted(O, *args):
+            calls.append(len(O))
+            return support(O, *args)
+
+        monkeypatch.setattr(dynamics, "support", counted)
+        seed = embed(X, (0,), wall.layout)
+        peaks = {}
+        for chunks in (2, 8):
+            calls.clear()
+            tracemalloc.start()
+            lightcone(wall.U, seed, wall.layout, t_max=16 * chunks - 1)
+            peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert calls == [16] * chunks  # the budget binds
+        assert peaks[8] < 1.5 * peaks[2], peaks
 
 
 class TestVerifyWall:
@@ -518,6 +583,14 @@ class TestGaugedSequence:
         assert not rep.all_equal
         assert max(rep.residuals[:2]) < 1e-12
         assert rep.residuals[2] > VERIFY_TOL
+
+    def test_initial_gauge_on_the_left_edge_accepted(self):
+        # G_0 = W_L (x) 1 maps M_L (x) A_C (x) 1_R onto itself
+        wall = preset_wall("nonabelian-cnot")
+        d, d_L = wall.layout.dim, wall.layout.d_left
+        G0 = kron(haar_unitary(d_L, SeededRng(28)), np.eye(d // d_L))
+        rep = gauged_sequence(wall, [G0, G0])
+        assert rep.all_equal
 
     def test_bad_initial_gauge_rejected(self):
         wall = preset_wall("abelian-pair")

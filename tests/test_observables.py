@@ -32,6 +32,7 @@ from wallkit.blocks import decompose
 from wallkit.walls import (
     PAULI,
     PRESET_NAMES,
+    conditional_unitary,
     pauli_string,
     preset_wall,
     resolve_central_algebra,
@@ -114,10 +115,11 @@ class TestAreaLaw:
 
     def test_entangled_input_rejected(self):
         wall = preset_wall("abelian-pair")
-        v = np.zeros(16)
-        v[0] = v[10] = 1 / np.sqrt(2)
-        with pytest.raises(ValueError):
-            verify_area_law(wall, PureState(v, wall.layout), 5)
+        v = np.zeros(8)
+        v[0] = v[5] = 1 / np.sqrt(2)  # |000> + |101>: entangled across L|CR
+        psi0 = PureState(v, wall.layout)
+        with pytest.raises(ValueError, match="product across L\\|CR"):
+            verify_area_law(wall, psi0, 5)
 
 
 def _area_law_oracle(wall, psi0, t_max):
@@ -225,6 +227,68 @@ class TestAreaLawOracle:
         rep = verify_area_law(fake, psi0, 4)
         assert rep.violations[0] == (2, 2)
         _assert_same_report(rep, _area_law_oracle(fake, psi0, 4))
+
+
+class TestAreaLawBatch:
+    """A sequence of states gives the per-state step loop's reports, in order."""
+
+    def test_walls_twenty_states_in_one_call(self):
+        for k, wall in enumerate(_area_law_walls()):
+            g = SeededRng(45, k).generator()
+            states = [random_product_state(wall.layout, g) for _ in range(20)]
+            reports = verify_area_law(wall, states, 20)
+            assert len(reports) == 20
+            for psi0, rep in zip(states, reports):
+                _assert_same_report(rep, _area_law_oracle(wall, psi0, 20))
+
+    def test_controlled_haar_wall_where_some_states_violate(self):
+        # U = |0><0| (x) 1 + |1><1| (x) W on L: a state with L in |0> stays a
+        # product, any other is entangled at once
+        wall = preset_wall("abelian-pair")
+        W = haar_unitary(4, SeededRng(46))
+        fake = SimpleNamespace(
+            U=conditional_unitary(np.eye(2), [np.eye(4), W], control_first=True), layout=wall.layout,
+            A_C=SimpleNamespace(dim=1), block_structure=wall.block_structure,
+        )
+        g = SeededRng(47).generator()
+        states = []
+        for j in range(6):
+            edge, cr = (g.standard_normal(n) + 1j * g.standard_normal(n) for n in (2, 4))
+            if j % 2:
+                edge = np.array([1, 0])
+            v = kron(edge, cr)
+            states.append(PureState(v / np.linalg.norm(v), wall.layout))
+        reports = verify_area_law(fake, states, 5)
+        assert [rep.passed for rep in reports] == [False, True] * 3
+        for psi0, rep in zip(states, reports):
+            _assert_same_report(rep, _area_law_oracle(fake, psi0, 5))
+
+    def test_empty_block_state_among_others(self):
+        wall = preset_wall("abelian-pair")
+        g = SeededRng(41).generator()
+        edge = [g.standard_normal(2) + 1j * g.standard_normal(2) for _ in range(2)]
+        v = kron(kron(edge[0], [1, 0]), edge[1])
+        states = [random_product_state(wall.layout, g), PureState(v / np.linalg.norm(v), wall.layout),
+                  random_product_state(wall.layout, g)]
+        reports = verify_area_law(wall, states, 10)
+        assert min(b["weight"] for b in reports[1].block_results) == 0.0
+        for psi0, rep in zip(states, reports):
+            _assert_same_report(rep, _area_law_oracle(wall, psi0, 10))
+
+    def test_one_entangled_state_rejects_the_call(self):
+        wall = preset_wall("abelian-pair")
+        v = np.zeros(8)
+        v[0] = v[5] = 1 / np.sqrt(2)  # |000> + |101>: entangled across L|CR
+        states = [random_product_state(wall.layout, SeededRng(48)), PureState(v, wall.layout)]
+        with pytest.raises(ValueError, match="product across L\\|CR"):
+            verify_area_law(wall, states, 5)
+
+    def test_one_state_one_report_a_sequence_a_list(self):
+        wall = preset_wall("abelian-pair")
+        psi0 = random_product_state(wall.layout, SeededRng(49))
+        assert isinstance(verify_area_law(wall, psi0, 3), AreaLawReport)
+        (rep,) = verify_area_law(wall, (psi0,), 3)
+        _assert_same_report(rep, verify_area_law(wall, psi0, 3))
 
 
 class TestMeasure:
