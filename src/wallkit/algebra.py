@@ -9,7 +9,11 @@ import numpy as np
 
 from .layout import SystemLayout
 from .linalg import (
+    FACTOR_MEMBER_TOL,
+    FACTOR_RIGHT_TOL,
+    GRAM_TOL,
     RANK_TOL,
+    SPAN_EQUAL_TOL,
     ZERO_TOL,
     dagger,
     hs_norm,
@@ -62,7 +66,7 @@ def _pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prods.reshape(-1, a.shape[1], a.shape[2])
 
 
-def close_algebra(generators, layout: SystemLayout, tol: float = RANK_TOL) -> MatrixAlgebra:
+def close_algebra(generators, layout: SystemLayout) -> MatrixAlgebra:
     """Smallest unital, adjoint- and product-closed span containing the
     generators.  Empty generator list gives <1>.
     """
@@ -71,10 +75,10 @@ def close_algebra(generators, layout: SystemLayout, tol: float = RANK_TOL) -> Ma
     if any(g.shape != (d, d) for g in gens):
         raise ValueError("generator dimensions do not match layout")
     seed = [np.eye(d, dtype=complex)] + gens + [dagger(g) for g in gens]
-    basis = orthonormal_basis(np.asarray(seed), tol)
+    basis = orthonormal_basis(np.asarray(seed))
     for _ in range(d * d + 1):
         prods = _pairwise_products(basis, basis)
-        new = orthonormal_basis(np.concatenate([basis, prods]), tol)
+        new = orthonormal_basis(np.concatenate([basis, prods]))
         if len(new) == len(basis):
             gen_stack = np.asarray(gens) if gens else None
             return MatrixAlgebra(new, layout, generators=gen_stack)
@@ -87,7 +91,7 @@ def close_algebra(generators, layout: SystemLayout, tol: float = RANK_TOL) -> Ma
 FRAME_SEED = 20200
 
 
-def commutant(alg: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
+def commutant(alg: MatrixAlgebra) -> MatrixAlgebra:
     """Algebra of all operators commuting with every element of `alg`.
 
     By the Wedderburn theorem, A = V (⊕_i M_{D_i} (x) 1_{E_i}) V^dag has
@@ -97,7 +101,7 @@ def commutant(alg: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
     """
     from .blocks import decompose, frame_span  # blocks imports this module
 
-    return MatrixAlgebra(frame_span(decompose(alg, FRAME_SEED, tol), mirror=True), alg.layout)
+    return MatrixAlgebra(frame_span(decompose(alg, FRAME_SEED), mirror=True), alg.layout)
 
 
 def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,7 +114,7 @@ def max_commutator(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(_commutators(a, b), axis=(2, 3)), initial=0.0))
 
 
-def relative_commutant(basis: np.ndarray, ops: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def relative_commutant(basis: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """HS-orthonormal basis of the part of span(basis) that commutes with
     every operator in the stack `ops`.
 
@@ -126,26 +130,26 @@ def relative_commutant(basis: np.ndarray, ops: np.ndarray, tol: float = RANK_TOL
     scale = max(float(w[-1]), 1.0)
     # gram eigenvalues are squared residuals, but their noise floor is linear
     # in machine epsilon times the scale, so the cut is a linear tolerance
-    coeffs = v[:, w <= tol * scale].T
+    coeffs = v[:, w <= GRAM_TOL * scale].T
     if len(coeffs) == 0:
         return np.zeros((0,) + basis.shape[1:], dtype=complex)
-    return orthonormal_basis(np.tensordot(coeffs, basis, axes=(1, 0)), tol)
+    return orthonormal_basis(np.tensordot(coeffs, basis, axes=(1, 0)))
 
 
-def center(alg: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
+def center(alg: MatrixAlgebra) -> MatrixAlgebra:
     """Z(A): the elements of A that commute with all of A."""
-    return MatrixAlgebra(relative_commutant(alg.basis, alg.basis, tol), alg.layout)
+    return MatrixAlgebra(relative_commutant(alg.basis, alg.basis), alg.layout)
 
 
-def intersect(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = RANK_TOL) -> MatrixAlgebra:
+def intersect(a: MatrixAlgebra, b: MatrixAlgebra) -> MatrixAlgebra:
     """Intersection of spans via the stacked (1-P_a; 1-P_b) nullspace."""
     if a.layout.site_dims != b.layout.site_dims:
         raise ValueError("operator spaces live on different layouts")
     d = a.layout.dim
     eye = np.eye(d * d, dtype=complex)
     stacked = np.concatenate([eye - projector_onto(a.basis), eye - projector_onto(b.basis)])
-    vecs = nullspace(stacked, tol)
-    basis = orthonormal_basis(vecs.T.reshape(-1, d, d), tol)
+    vecs = nullspace(stacked)
+    basis = orthonormal_basis(vecs.T.reshape(-1, d, d))
     return MatrixAlgebra(basis, a.layout)
 
 
@@ -158,16 +162,16 @@ def contains(alg: MatrixAlgebra, O: np.ndarray, tol: float = RANK_TOL) -> bool:
     return hs_norm(O - alg.project(O)) / norm < tol
 
 
-def equals(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = 1e-8) -> bool:
+def equals(a: MatrixAlgebra, b: MatrixAlgebra) -> bool:
     """Span equality by mutual containment of bases."""
     if a.dim != b.dim:
         return False
-    return all(contains(b, x, tol) for x in a.basis) and all(
-        contains(a, x, tol) for x in b.basis
+    return all(contains(b, x, SPAN_EQUAL_TOL) for x in a.basis) and all(
+        contains(a, x, SPAN_EQUAL_TOL) for x in b.basis
     )
 
 
-def cluster_eigenvalues(w: np.ndarray, rel_tol: float = 1e-7) -> list[np.ndarray]:
+def cluster_eigenvalues(w: np.ndarray, rel_tol: float) -> list[np.ndarray]:
     """Group sorted real eigenvalues into clusters separated by relative gaps."""
     w = np.asarray(w, dtype=float)
     order = np.argsort(w)
@@ -191,9 +195,7 @@ def left_blocks(X: np.ndarray, d_left: int) -> np.ndarray:
     return T.transpose(0, 2, 1, 3).reshape(d_left * d_left, d_rest, d_rest)
 
 
-def extract_central_factor(
-    span: MatrixAlgebra, layout: SystemLayout, tol: float = RANK_TOL
-) -> MatrixAlgebra:
+def extract_central_factor(span: MatrixAlgebra, layout: SystemLayout) -> MatrixAlgebra:
     """Given M_L (x) 1 <= span <= M_L (x) M_C (x) 1_R, return the central
     factor A_C with span = M_L (x) A_C (x) 1_R.
 
@@ -209,7 +211,7 @@ def extract_central_factor(
         for j in range(d_L):
             u = np.zeros((d_L, d_L))
             u[i, j] = 1.0
-            if not contains(span, np.kron(u, eye_rest), 1e-8):
+            if not contains(span, np.kron(u, eye_rest), FACTOR_MEMBER_TOL):
                 raise ValueError("span does not contain the full left matrix algebra")
     blocks = np.concatenate([left_blocks(x, d_L) for x in span.basis])
     if d_R > 1:
@@ -220,14 +222,14 @@ def extract_central_factor(
         norms = np.linalg.norm(blocks.reshape(len(blocks), -1), axis=1)
         resid = np.linalg.norm((blocks - recon).reshape(len(blocks), -1), axis=1)
         live = norms > ZERO_TOL
-        if np.any(resid[live] > 1e-8 * norms[live]):
+        if np.any(resid[live] > FACTOR_RIGHT_TOL * norms[live]):
             raise ValueError("span has non-trivial support on the right region")
         blocks = compressed
-    c_basis = orthonormal_basis(blocks, tol)
+    c_basis = orthonormal_basis(blocks)
     from math import prod
 
     cdims = layout.center_dims if prod(layout.center_dims) == d_C else (d_C,)
-    alg = close_algebra(c_basis, SystemLayout(cdims), tol)
+    alg = close_algebra(c_basis, SystemLayout(cdims))
     if d_L * d_L * alg.dim != span.dim:
         raise ValueError(
             f"not of product form: dim {span.dim} != {d_L}^2 * {alg.dim}"

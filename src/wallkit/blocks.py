@@ -9,7 +9,11 @@ import numpy as np
 
 from .layout import SystemLayout, as_generator
 from .linalg import (
-    RANK_TOL,
+    CENTRAL_CLUSTER_TOL,
+    FRAME_CLUSTER_TOL,
+    ORBIT_RANK_TOL,
+    POLAR_TOL,
+    VERIFY_TOL,
     dagger,
     orthonormal_basis,
     random_hermitian_in_span,
@@ -19,9 +23,6 @@ from .algebra import (
     cluster_eigenvalues,
     relative_commutant,
 )
-
-CLUSTER_TOL = 1e-7  # relative eigenvalue-gap threshold for grouping
-VERIFY_TOL = 1e-8  # residual allowed on the conjugated block form
 
 
 @dataclass
@@ -61,7 +62,7 @@ def _minimal_central_projectors(alg: MatrixAlgebra, rng) -> list[np.ndarray]:
     for _ in range(5):
         h = random_hermitian_in_span(center, rng)
         w, v = np.linalg.eigh(h)
-        groups = cluster_eigenvalues(w, CLUSTER_TOL)
+        groups = cluster_eigenvalues(w, CENTRAL_CLUSTER_TOL)
         if len(groups) == len(center):
             # one projector per central dimension: guaranteed minimal
             return [v[:, idx] @ dagger(v[:, idx]) for idx in groups]
@@ -73,7 +74,7 @@ def _compress(basis: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.einsum("ai,kab,bj->kij", Q.conj(), basis, Q)
 
 
-def _block_product_frame(a_basis: np.ndarray, rng, tol: float) -> tuple[int, int, np.ndarray]:
+def _block_product_frame(a_basis: np.ndarray, rng) -> tuple[int, int, np.ndarray]:
     """Product frame for one central block.
 
     `a_basis` spans a factor algebra (trivial center) of M_m; returns
@@ -85,7 +86,7 @@ def _block_product_frame(a_basis: np.ndarray, rng, tol: float) -> tuple[int, int
     for _ in range(5):
         h = random_hermitian_in_span(a_basis, rng)
         w, v = np.linalg.eigh(h)
-        groups = cluster_eigenvalues(w, CLUSTER_TOL)
+        groups = cluster_eigenvalues(w, FRAME_CLUSTER_TOL)
         sizes = {len(g) for g in groups}
         if len(sizes) != 1:
             continue
@@ -100,7 +101,7 @@ def _block_product_frame(a_basis: np.ndarray, rng, tol: float) -> tuple[int, int
         orbit = np.einsum("kab,b->ka", a_basis, w0)
         rest = orbit - (orbit @ w0.conj())[:, None] * w0[None, :]
         _, s, vh = np.linalg.svd(rest, full_matrices=False)
-        r = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
+        r = int(np.sum(s > ORBIT_RANK_TOL * max(s[0], 1.0))) if s.size else 0
         if r != dD - 1:
             continue
         cols = np.column_stack([w0, vh[:r].T])  # (m, dD), first column is w0
@@ -116,13 +117,13 @@ def _block_product_frame(a_basis: np.ndarray, rng, tol: float) -> tuple[int, int
         if s.min() < 0.5:
             continue
         Vp = u @ vh
-        if np.max(np.abs(Vp - V)) > 1e-6:
+        if np.max(np.abs(Vp - V)) > POLAR_TOL:
             continue
         return dD, dE, Vp
     raise RuntimeError("could not build a product frame after 5 resamples")
 
 
-def decompose(alg: MatrixAlgebra, rng, tol: float = RANK_TOL) -> BlockStructure:
+def decompose(alg: MatrixAlgebra, rng) -> BlockStructure:
     """Block decomposition A = V (⊕_i M_{D_i} (x) 1_{E_i}) V^dag.
 
     Central projectors come from eigenspaces of a random Hermitian central
@@ -139,8 +140,8 @@ def decompose(alg: MatrixAlgebra, rng, tol: float = RANK_TOL) -> BlockStructure:
         w, v = np.linalg.eigh(P)
         Q = v[:, w > 0.5]  # isometry onto the block
         m = Q.shape[1]
-        a_basis = orthonormal_basis(_compress(alg.basis, Q), tol)
-        dD, dE, Vloc = _block_product_frame(a_basis, g, tol)
+        a_basis = orthonormal_basis(_compress(alg.basis, Q))
+        dD, dE, Vloc = _block_product_frame(a_basis, g)
         blocks.append((dD, dE))
         V[:, pos : pos + m] = Q @ Vloc
         pos += m

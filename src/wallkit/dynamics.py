@@ -10,7 +10,14 @@ import numpy as np
 
 from .layout import SystemLayout
 from .linalg import (
-    RANK_TOL,
+    CONSERVED_TOL,
+    EDGE_RANK_TOL,
+    ESCAPE_TOL,
+    FACTOR_COMMUTE_TOL,
+    GAUGE_TOL,
+    SUPPORT_TOL,
+    UNITARY_TOL,
+    VERIFY_TOL,
     ZERO_TOL,
     dagger,
     hs_norm,
@@ -23,10 +30,8 @@ from .algebra import (
     max_commutator,
     relative_commutant,
 )
-from .blocks import VERIFY_TOL, _verify_block_form
+from .blocks import _verify_block_form
 
-# residual threshold for "operator has escaped the allowed region"
-ESCAPE_TOL = 1e-9
 # complex elements of one chunk of evolved operators in ``lightcone``
 LIGHTCONE_CHUNK_ELEMS = 2**22
 
@@ -42,14 +47,14 @@ def evolve_op(U: np.ndarray, O: np.ndarray, t: int) -> np.ndarray:
     return O
 
 
-def support(O: np.ndarray, layout: SystemLayout, tol: float = ZERO_TOL):
+def support(O: np.ndarray, layout: SystemLayout):
     """Sites where O acts non-trivially, with per-site residuals.
 
     Site s is excluded iff replacing its factor by the normalized partial
-    trace changes O by less than ``tol`` relative to ||O||.  ``O`` is one
-    (d, d) matrix, giving a set and (n_sites,) residuals, or an (n, d, d)
-    stack, giving a list of n sets and (n, n_sites) residuals.  A zero
-    operator has empty support and zero residuals.
+    trace changes O by less than ``SUPPORT_TOL`` relative to ||O||.  ``O``
+    is one (d, d) matrix, giving a set and (n_sites,) residuals, or an
+    (n, d, d) stack, giving a list of n sets and (n, n_sites) residuals.  A
+    zero operator has empty support and zero residuals.
     """
     O = np.asarray(O, dtype=complex)
     dims = layout.site_dims
@@ -70,7 +75,7 @@ def support(O: np.ndarray, layout: SystemLayout, tol: float = ZERO_TOL):
             residuals[i, s] = hs_norm(R[i]) / norms[i]
     sets = [set() for _ in stack]
     for i in live:
-        sets[i] = {s for s in range(layout.n_sites) if residuals[i, s] >= tol}
+        sets[i] = {s for s in range(layout.n_sites) if residuals[i, s] >= SUPPORT_TOL}
     return (sets[0], residuals[0]) if O.ndim == 2 else (sets, residuals)
 
 
@@ -88,7 +93,7 @@ class LightConeProfile:
         return rows
 
 
-def lightcone(U, seed_op, layout: SystemLayout, t_max: int, tol: float = ZERO_TOL) -> LightConeProfile:
+def lightcone(U, seed_op, layout: SystemLayout, t_max: int) -> LightConeProfile:
     """Support of the evolved seed operator for t = 0..t_max.
 
     The evolved operators are scored by ``support`` in chunks of time steps
@@ -104,7 +109,7 @@ def lightcone(U, seed_op, layout: SystemLayout, t_max: int, tol: float = ZERO_TO
             if t0 + i:
                 O = U @ O @ Ud
             chunk[i] = O
-        sup, res = support(chunk, layout, tol)
+        sup, res = support(chunk, layout)
         sets += sup
         residuals[t0 : t0 + len(chunk)] = res
     return LightConeProfile(list(range(t_max + 1)), sets, residuals)
@@ -119,38 +124,36 @@ def _check_unitary(U: np.ndarray, d: int):
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise ValueError(f"operator shape {U.shape} does not match dimension {d}")
-    if hs_norm(U @ dagger(U) - np.eye(d)) > 1e-8:
+    if hs_norm(U @ dagger(U) - np.eye(d)) > UNITARY_TOL:
         raise ValueError("operator is not unitary")
     return U
 
 
-def _swap_edges(basis: np.ndarray, layout: SystemLayout) -> np.ndarray:
-    """Reorder operators from (L, C, R) to (R, C, L) tensor factors."""
-    d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
-    k = len(basis)
-    T = basis.reshape(k, d_L, d_C, d_R, d_L, d_C, d_R)
-    T = T.transpose(0, 3, 2, 1, 6, 5, 4)
-    return T.reshape(k, layout.dim, layout.dim)
-
-
-def _cut_frames(U: np.ndarray, d_A: int, tol: float):
-    """Operator-Schmidt frames of U across the cut after a d_A-dimensional
-    prefix A (the suffix B has dimension d_B = d / d_A).
+def _cut_frames(U: np.ndarray, d_A: int):
+    """Operator-Schmidt frames of the unitary U across the cut after a
+    d_A-dimensional prefix A (the suffix B has dimension d_B = d / d_A).
 
     The realigned matrix M[(i, u), (j, v)] = U[(i, j), (u, v)] has the edge
     blocks (<i|_A x 1) U (|u>_A x 1) as rows and (1 x <j|_B) U (1 x |v>_B)
     as columns, so one SVD gives HS-orthonormal bases of both spans, with
-    the rank cut at singular values above ``tol`` times the largest one.
-    Returns (frame on B, frame on A): the first seeds the closure of the
-    check whose edge is A, the second the one whose edge is B.
+    the rank cut at singular values above ``EDGE_RANK_TOL`` times the
+    largest one.  U is unitary, so ||M||_HS = sqrt(d) and the largest one is
+    positive.  Returns (frame on B, frame on A): the first seeds the closure
+    of the check whose edge is A, the second the one whose edge is B.
     """
     d_B = len(U) // d_A
     M = U.reshape(d_A, d_B, d_A, d_B).transpose(0, 2, 1, 3).reshape(d_A * d_A, d_B * d_B)
-    if not np.any(M):
-        return np.zeros((0, d_B, d_B), dtype=complex), np.zeros((0, d_A, d_A), dtype=complex)
     u, s, vh = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > tol * s[0]))
+    r = int(np.sum(s > EDGE_RANK_TOL * s[0]))
     return vh[:r].reshape(r, d_B, d_B), u[:, :r].T.reshape(r, d_A, d_A)
+
+
+def _center_first(frame: np.ndarray, d_L: int, d_C: int) -> np.ndarray:
+    """A frame on L x C (the prefix frame of the cut after C) reordered to
+    C x L: the bulk, center first, of the check whose edge is R."""
+    r = len(frame)
+    m = frame.reshape(r, d_L, d_C, d_L, d_C).transpose(0, 2, 1, 4, 3)
+    return m.reshape(r, d_C * d_L, d_C * d_L)
 
 
 def _lift(a: np.ndarray, d_out: int) -> np.ndarray:
@@ -199,7 +202,7 @@ def _probe_escapes(m, a, d_out: int, bound: float, g: np.random.Generator) -> bo
     return bool(resid[0] > bound * weight)
 
 
-def _directional_closure(m: np.ndarray, center_dims: tuple, tol: float):
+def _directional_closure(m: np.ndarray, center_dims: tuple):
     """Closure of the left-edge-seeded invariant algebra, tracked by its
     central factor.
 
@@ -208,13 +211,13 @@ def _directional_closure(m: np.ndarray, center_dims: tuple, tol: float):
     Every algebra between M_L x 1 and the full algebra is of the form
     M_L x S; each closure round sandwiches the current S between edge
     blocks of U, rejects as soon as a sandwich X escapes (center x identity)
-    by more than ``tol`` relative to ||X|| (sandwiches with ||X|| <=
+    by more than ``ESCAPE_TOL`` relative to ||X|| (sandwiches with ||X|| <=
     ``ZERO_TOL`` are ignored), and otherwise product-closes the compressed
     span on C.
 
     Each round first tests one random probe (``_probe_escapes``) and
     rejects on it when its escape residual exceeds
-    max(tol sqrt(d_out), ZERO_TOL) times its coefficient weight.  The edge
+    max(ESCAPE_TOL sqrt(d_out), ZERO_TOL) times its coefficient weight.  The edge
     blocks are HS-orthonormal, so ||m_p||_op <= 1, and every lifted basis
     element has HS norm sqrt(d_out); so every sandwich of a round that the
     per-element rule accepts has residual at most that bound, and a probe
@@ -231,7 +234,7 @@ def _directional_closure(m: np.ndarray, center_dims: tuple, tol: float):
     c_layout = SystemLayout(center_dims)
     a = np.eye(d_C, dtype=complex)[None] / np.sqrt(d_C)
     probe_rng = np.random.default_rng(PROBE_SEED)
-    probe_bound = max(tol * np.sqrt(d_out), ZERO_TOL)
+    probe_bound = max(ESCAPE_TOL * np.sqrt(d_out), ZERO_TOL)
 
     # each round that does not stabilize grows S, whose dimension is <= d_C^2
     max_rounds = d_C**2 + 1
@@ -248,12 +251,10 @@ def _directional_closure(m: np.ndarray, center_dims: tuple, tol: float):
             prods = (part[:, :, None] @ m_dag).reshape(-1, d_bulk, d_bulk)
             core, resid, norms = _compress_to_center(prods, d_C, d_out)
             rel = np.where(norms > ZERO_TOL, resid / np.maximum(norms, ZERO_TOL), 0.0)
-            if np.any(rel > tol):
+            if np.any(rel > ESCAPE_TOL):
                 return False, rounds, None
             collected.append(core[norms > ZERO_TOL])
-        new = close_algebra(
-            list(np.concatenate(collected)), c_layout, RANK_TOL
-        ).basis
+        new = close_algebra(list(np.concatenate(collected)), c_layout).basis
         if len(new) == len(a):
             return True, rounds, new
         a = new
@@ -325,30 +326,34 @@ class WallReport:
         return out
 
 
-def verify_wall(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> WallReport:
+def verify_wall(U, layout: SystemLayout) -> WallReport:
     """Exact wall check by closure stabilization.
 
     The left check grows the algebra generated by the Heisenberg orbit of
-    M_L x 1 and succeeds iff it stays inside M_LC; the right check is the
-    left check on the edge-swapped U.  A round rejects when a sandwich
-    escapes by more than ``tol`` relative to its norm; it rejects on one
-    random probe first when the probe's escape exceeds
-    max(tol sqrt(d_out), ZERO_TOL) times its coefficient weight, a bound
-    that only a rejected round can exceed (see ``_directional_closure``).
-    The probes come from a fixed seed.  The report carries the central
-    factors A_C and B_C (on C) of each side that passes.
+    M_L x 1 and succeeds iff it stays inside M_LC; the right check is its
+    mirror, seeded by the right edge blocks on C x L.  A round rejects when
+    a sandwich escapes by more than ``ESCAPE_TOL`` relative to its norm; it
+    rejects on one random probe first when the probe's escape exceeds
+    max(ESCAPE_TOL sqrt(d_out), ZERO_TOL) times its coefficient weight, a
+    bound that only a rejected round can exceed (see
+    ``_directional_closure``).  The probes come from a fixed seed.  The
+    report carries the central factors A_C and B_C (on C) of each side that
+    passes.
     """
-    return _verify_wall(_check_unitary(U, layout.dim), layout, tol)
+    return _verify_wall(_check_unitary(U, layout.dim), layout)
 
 
-def _verify_wall(U: np.ndarray, layout: SystemLayout, tol: float) -> WallReport:
-    """``verify_wall`` on a U already checked to be a d x d unitary."""
+def _verify_wall(U: np.ndarray, layout: SystemLayout) -> WallReport:
+    """``verify_wall`` on a U already checked to be a d x d unitary.  The
+    left frame is the suffix frame of the cut after L, the right frame the
+    prefix frame of the cut after C, center first, as in ``scan_chain``."""
     if not layout.left or not layout.right:
         raise ValueError("wall verification needs non-empty L and R regions")
-    m_left, _ = _cut_frames(U, layout.d_left, tol)
-    m_right, _ = _cut_frames(_swap_edges(U[None], layout)[0], layout.d_right, tol)
-    left, s_l, a_basis = _directional_closure(m_left, layout.center_dims, tol)
-    right, s_r, b_basis = _directional_closure(m_right, layout.center_dims, tol)
+    d_L, d_C = layout.d_left, layout.d_center
+    m_left, _ = _cut_frames(U, d_L)
+    _, prefix = _cut_frames(U, d_L * d_C)
+    left, s_l, a_basis = _directional_closure(m_left, layout.center_dims)
+    right, s_r, b_basis = _directional_closure(_center_first(prefix, d_L, d_C), layout.center_dims)
     c_layout = SystemLayout(layout.center_dims)
     A_C = MatrixAlgebra(a_basis, c_layout) if left else None
     B_C = MatrixAlgebra(b_basis, c_layout) if right else None
@@ -372,19 +377,19 @@ class NotAWallError(ValueError):
     """The unitary fails the wall check."""
 
 
-def invariant_algebras(U, layout: SystemLayout, tol: float = ESCAPE_TOL) -> WallReport:
+def invariant_algebras(U, layout: SystemLayout) -> WallReport:
     """The report of a wall, which holds its invariant algebras; raises
     ``NotAWallError`` (a ``ValueError``) on a non-wall."""
-    report = verify_wall(U, layout, tol)
+    report = verify_wall(U, layout)
     if not report.is_wall:
         raise NotAWallError(f"not a wall: left={report.left}, right={report.right}")
     # the theorem demands the central factors commute pairwise
-    if max_commutator(report.A_C.basis, report.B_C.basis) > 1e-9:
+    if max_commutator(report.A_C.basis, report.B_C.basis) > FACTOR_COMMUTE_TOL:
         raise RuntimeError("central factors fail to commute (numerical failure)")
     return report
 
 
-def conserved_algebra(inv: WallReport, tol: float = RANK_TOL) -> MatrixAlgebra:
+def conserved_algebra(inv: WallReport) -> MatrixAlgebra:
     """C-local conserved charges, computed on C.
 
     The invariant algebras factor as Lbar = M_L x A_C x 1_R and
@@ -395,11 +400,11 @@ def conserved_algebra(inv: WallReport, tol: float = RANK_TOL) -> MatrixAlgebra:
     central factors.
     """
     joint = MatrixAlgebra(
-        relative_commutant(commutant(inv.A_C, tol).basis, inv.B_C.basis, tol), inv.A_C.layout
+        relative_commutant(commutant(inv.A_C).basis, inv.B_C.basis), inv.A_C.layout
     )
     # all bases are HS-orthonormal, so these commutator norms are relative
     residual = max_commutator(joint.basis, np.concatenate([inv.A_C.basis, inv.B_C.basis]))
-    if residual > 1e-8:
+    if residual > CONSERVED_TOL:
         raise RuntimeError(
             f"conserved element fails to commute with the central factors "
             f"(residual {residual:.2e}; numerical failure)"
@@ -432,7 +437,7 @@ def gauged_sequence(wall, gauges) -> GaugedSequenceReport:
     moved = G0 @ lbar.basis @ dagger(G0)
     coeff = np.tensordot(moved, lbar.basis.conj(), axes=([1, 2], [1, 2]))  # <b_j, moved_i>
     resid = moved - np.tensordot(coeff, lbar.basis, axes=(1, 0))
-    if np.linalg.norm(resid.reshape(len(resid), -1), axis=1).max() > 1e-9:
+    if np.linalg.norm(resid.reshape(len(resid), -1), axis=1).max() > GAUGE_TOL:
         raise ValueError("G_0 does not preserve the left-invariant algebra")
     bs, d_L, d_R = wall.block_structure, wall.layout.d_left, wall.layout.d_right
     blocks = [(d_L * dD, dE * d_R) for dD, dE in bs.blocks]
@@ -535,7 +540,7 @@ def brickwork_unitary(site_dims, even_gates, odd_gates) -> np.ndarray:
     return U
 
 
-def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2, tol: float = ESCAPE_TOL) -> ScanReport:
+def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2) -> ScanReport:
     """Verify every candidate central window (width <= max_width) of the
     brickwork Floquet unitary and report the wall windows found.
 
@@ -549,17 +554,14 @@ def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2, tol: float 
     widths = range(1, min(max_width, n - 2) + 1)  # wider windows leave L or R empty
     left, right = {}, {}
     for cut in range(1, n):
-        suffix, prefix = _cut_frames(U, prod(site_dims[:cut]), tol)
+        suffix, prefix = _cut_frames(U, prod(site_dims[:cut]))
         for w in widths:
             if cut + w < n:  # window [cut, cut + w) with L = [0, cut)
-                left[cut, w] = _directional_closure(suffix, site_dims[cut : cut + w], tol)[0]
+                left[cut, w] = _directional_closure(suffix, site_dims[cut : cut + w])[0]
             start = cut - w
             if start >= 1:  # window [start, cut) with R = [cut, n)
-                d_L, d_C, r = prod(site_dims[:start]), prod(site_dims[start:cut]), len(prefix)
-                # prefix frame from (L, C) to (C, L) factors: the bulk of the edge-swapped U
-                m = prefix.reshape(r, d_L, d_C, d_L, d_C).transpose(0, 2, 1, 4, 3)
-                m = m.reshape(r, d_C * d_L, d_C * d_L)
-                right[start, w] = _directional_closure(m, site_dims[start:cut], tol)[0]
+                m = _center_first(prefix, prod(site_dims[:start]), prod(site_dims[start:cut]))
+                right[start, w] = _directional_closure(m, site_dims[start:cut])[0]
     return ScanReport(
         [ScanRecord(s, w, left[s, w], right[s, w]) for w in widths for s in range(1, n - w)]
     )

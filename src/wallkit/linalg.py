@@ -2,9 +2,9 @@
 sampling, and rank/nullspace decisions with explicit tolerances.
 
 Conventions fixed project-wide: row-major indexing with site 0 as the most
-significant tensor index, Hilbert-Schmidt inner product <A, B> = tr(A^dag B),
-relative rank tolerance ``RANK_TOL`` and absolute zero-test ``ZERO_TOL``
-on unit-norm data.
+significant tensor index, Hilbert-Schmidt (HS) inner product
+<A, B> = tr(A^dag B), and one table of tolerances below for every numerical
+decision of the package.
 """
 
 from __future__ import annotations
@@ -15,9 +15,40 @@ import numpy as np
 
 from .layout import SystemLayout, as_generator
 
-# default tolerances; every decision point takes an override argument
-RANK_TOL = 1e-9
-ZERO_TOL = 1e-10
+# Tolerances: every rank, kernel, residual and clustering decision of the
+# package reads its threshold here, one name per decision even where two
+# values agree.  No function takes one as a parameter, except the two that
+# serve several decisions: ``algebra.contains`` and
+# ``algebra.cluster_eigenvalues``.  s are singular values, w eigenvalues.
+RANK_TOL = 1e-9  # orthonormal_basis: span rank, s > RANK_TOL * s_max
+KERNEL_TOL = 1e-9  # nullspace: kernel, s <= KERNEL_TOL * max(s_max, 1)
+ZERO_TOL = 1e-10  # an operator or sandwich of smaller HS norm is zero
+GRAM_TOL = 1e-9  # relative_commutant: Gram w <= GRAM_TOL * max(w_max, 1) commute
+SPAN_EQUAL_TOL = 1e-8  # equals: relative residual of each basis element off the other span
+FACTOR_MEMBER_TOL = 1e-8  # extract_central_factor: relative residual of a unit of M_L off the span
+FACTOR_RIGHT_TOL = 1e-8  # extract_central_factor: relative residual of a block off c (x) 1_R
+CENTRAL_CLUSTER_TOL = 1e-7  # decompose: relative gap between central w of two blocks
+FRAME_CLUSTER_TOL = 1e-7  # decompose: relative gap between w of two D indices of a block
+ORBIT_RANK_TOL = 1e-9  # decompose: orbit rank of a block, s > ORBIT_RANK_TOL * max(s_max, 1)
+POLAR_TOL = 1e-6  # decompose: largest entry moved by a block frame's polar cleanup
+VERIFY_TOL = 1e-8  # decompose, gauged_sequence: largest entry residual off the block form
+UNITARY_TOL = 1e-8  # verify_wall, scan_chain: HS norm of U U^dag - 1
+EDGE_RANK_TOL = 1e-9  # verify_wall, scan_chain: edge-frame rank, s > EDGE_RANK_TOL * s_max
+ESCAPE_TOL = 1e-9  # verify_wall, scan_chain: relative escape residual of a closure sandwich
+FACTOR_COMMUTE_TOL = 1e-9  # invariant_algebras: largest HS commutator of A_C and B_C
+CONSERVED_TOL = 1e-8  # conserved_algebra: largest HS commutator with A_C or B_C
+GAUGE_TOL = 1e-9  # gauged_sequence: largest HS residual of G_0 Lbar G_0^dag off Lbar
+SUPPORT_TOL = 1e-10  # support, lightcone: relative residual of a site in the support
+NORM_TOL = 1e-10  # PureState: largest distance of the state's norm from 1
+SCHMIDT_RANK_TOL = 1e-8  # schmidt, verify_area_law: Schmidt rank, s > SCHMIDT_RANK_TOL
+ENTROPY_P_TOL = 1e-15  # SchmidtData.entropy_bits: Schmidt probabilities kept, p > ENTROPY_P_TOL
+BLOCK_WEIGHT_TOL = 1e-8  # verify_area_law: a block projection of smaller norm is a zero row
+HERMITIAN_TOL = 1e-10  # measure: HS norm of M - M^dag
+OUTCOME_CLUSTER_TOL = 1e-9  # measure: relative gap between w of two outcomes
+BORN_TOL = 1e-12  # measure: outcomes of smaller probability are never drawn
+OBSERVABLE_MEMBER_TOL = 1e-9  # classify_observable: relative residual of M_C off A_C
+OBSERVABLE_COMMUTE_TOL = 1e-9  # classify_observable: HS commutator with A_C relative to M_C's norm
+GATE_TOL = 1e-10  # conditional_unitary: HS norm of V V^dag - 1, control basis and branches
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -102,12 +133,12 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return haar_from_ginibre(z)
 
 
-def orthonormal_basis(mats, tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_basis(mats) -> np.ndarray:
     """HS-orthonormal basis of the span of the input matrices.
 
     Accepts a list of matrices or a stacked (k, m, n) array; returns a
     stacked (r, m, n) array.  Rank is decided by singular values above
-    ``tol`` times the largest one.  All-zero input gives an empty stack.
+    ``RANK_TOL`` times the largest one.  All-zero input gives an empty stack.
     """
     stack = np.asarray(mats, dtype=complex)
     if stack.ndim == 2:
@@ -117,12 +148,12 @@ def orthonormal_basis(mats, tol: float = RANK_TOL) -> np.ndarray:
     if k == 0 or not np.any(flat):
         return np.zeros((0, m, n), dtype=complex)
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    r = int(np.sum(s > tol * s[0]))
+    r = int(np.sum(s > RANK_TOL * s[0]))
     return vh[:r].reshape(r, m, n)
 
 
-def nullspace(M: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal kernel basis (columns) with ||M v|| <= tol * scale.
+def nullspace(M: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel basis (columns) with ||M v|| <= KERNEL_TOL * scale.
 
     The scale floors at 1 so that a matrix consisting purely of numerical
     noise (for instance a commutator map of an identity-plus-noise operator)
@@ -137,7 +168,7 @@ def nullspace(M: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     norm = s[0] if s.size else 0.0
     if norm == 0.0:
         return np.eye(M.shape[1], dtype=complex)
-    rank = int(np.sum(s > tol * max(norm, 1.0)))
+    rank = int(np.sum(s > KERNEL_TOL * max(norm, 1.0)))
     return vh[rank:].conj().T
 
 

@@ -11,11 +11,22 @@ import numpy as np
 
 from . import _kernels  # noqa: F401  unused; perfbench's tracer finds it in sys.modules
 from .layout import SeededRng, SystemLayout, as_generator
-from .linalg import dagger, haar_from_ginibre, hs_norm
+from .linalg import (
+    BLOCK_WEIGHT_TOL,
+    BORN_TOL,
+    ENTROPY_P_TOL,
+    HERMITIAN_TOL,
+    NORM_TOL,
+    OBSERVABLE_COMMUTE_TOL,
+    OBSERVABLE_MEMBER_TOL,
+    OUTCOME_CLUSTER_TOL,
+    SCHMIDT_RANK_TOL,
+    dagger,
+    haar_from_ginibre,
+    hs_norm,
+)
 from .algebra import cluster_eigenvalues, contains, max_commutator
 
-SCHMIDT_RANK_TOL = 1e-8
-CLUSTER_TOL = 1e-9  # relative eigenvalue clustering for measurement outcomes
 # complex elements per chunk of one SFF size stack, draws, power buffers and
 # traces together (512 KB): a chunk of the whole run would grow peak memory
 # with the sample count
@@ -32,7 +43,7 @@ class PureState:
         if self.amplitudes.size != self.layout.dim:
             raise ValueError("amplitude vector does not match layout dimension")
         n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > 1e-10:
+        if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi| = {n}")
 
 
@@ -63,18 +74,18 @@ class SchmidtData:
 
     def entropy_bits(self) -> float:
         p = self.singular_values**2
-        p = p[p > 1e-15]
+        p = p[p > ENTROPY_P_TOL]
         return max(0.0, float(-np.sum(p * np.log2(p))))  # no -0.0 or rounding below 0
 
 
-def schmidt(psi: PureState, cut: int, rank_tol: float = SCHMIDT_RANK_TOL) -> SchmidtData:
+def schmidt(psi: PureState, cut: int) -> SchmidtData:
     """Schmidt data across the bipartition after the first `cut` sites."""
     if not 0 < cut < psi.layout.n_sites:
         raise ValueError("cut must leave sites on both sides")
     d_left = prod(psi.layout.site_dims[:cut])
     mat = psi.amplitudes.reshape(d_left, -1)
     s = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(s > rank_tol))
+    rank = int(np.sum(s > SCHMIDT_RANK_TOL))
     return SchmidtData(cut, s, rank)
 
 
@@ -93,7 +104,7 @@ class AreaLawReport:
         )
 
 
-def verify_area_law(wall, psi0, t_max: int, rank_tol: float = SCHMIDT_RANK_TOL):
+def verify_area_law(wall, psi0, t_max: int):
     """Check rank(U^t psi0) <= dim A_C across L|CR for a product psi0, plus the
     per-block refinement rank <= dim_D^2 for block-projected inputs.
 
@@ -103,7 +114,7 @@ def verify_area_law(wall, psi0, t_max: int, rank_tol: float = SCHMIDT_RANK_TOL):
     array that evolves a step at a time: one stacked SVD gives every row's
     rank, one matmul advances every row.  Each psi0 must be a product across
     L|CR, read off its rows of the t = 0 SVD.  A block whose projection has
-    norm below 1e-8 is a zero row: rank 0."""
+    norm below ``BLOCK_WEIGHT_TOL`` is a zero row: rank 0."""
     states = [psi0] if isinstance(psi0, PureState) else list(psi0)
     layout = wall.layout
     d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
@@ -113,7 +124,8 @@ def verify_area_law(wall, psi0, t_max: int, rank_tol: float = SCHMIDT_RANK_TOL):
         amps = psi.amplitudes.reshape(d_L, d_C, d_R)
         projected = [(P @ amps).ravel() for P in bs.central_projectors]
         w = [float(np.linalg.norm(v)) for v in projected]
-        rows += [psi.amplitudes] + [v / n if n >= 1e-8 else 0 * v for v, n in zip(projected, w)]
+        rows += [psi.amplitudes]
+        rows += [v / n if n >= BLOCK_WEIGHT_TOL else 0 * v for v, n in zip(projected, w)]
         weights.append(w)
     X = np.stack(rows)
     bound = [int(wall.A_C.dim)] + [int(dD * dD) for dD, _ in bs.blocks]  # psi0, then each block
@@ -122,7 +134,7 @@ def verify_area_law(wall, psi0, t_max: int, rank_tol: float = SCHMIDT_RANK_TOL):
     violations = [[] for _ in X]
     for t in range(t_max + 1):
         s = np.linalg.svd(X.reshape(len(X), d_L, -1), compute_uv=False)
-        ranks = np.sum(s > rank_tol, axis=1)
+        ranks = np.sum(s > SCHMIDT_RANK_TOL, axis=1)
         if t == 0 and np.any(ranks[:: len(bound)] != 1):
             raise ValueError("initial state must be a product across L|CR")
         max_rank = np.maximum(max_rank, ranks)
@@ -153,21 +165,22 @@ class MeasureResult:
     outcome_index: int
 
 
-def measure(psi: PureState, M_C, rng, cluster_tol: float = CLUSTER_TOL) -> MeasureResult:
+def measure(psi: PureState, M_C, rng) -> MeasureResult:
     """Projective measurement of a Hermitian central observable, Born-sampled.
 
-    Degenerate eigenvalues (relative cluster tolerance) project onto the full
-    eigenspace; branches with probability below 1e-12 are excluded.
+    Degenerate eigenvalues (relative gap up to ``OUTCOME_CLUSTER_TOL``)
+    project onto the full eigenspace; branches with probability up to
+    ``BORN_TOL`` are excluded.
     """
     M_C = np.asarray(M_C, dtype=complex)
-    if hs_norm(M_C - dagger(M_C)) > 1e-10:
+    if hs_norm(M_C - dagger(M_C)) > HERMITIAN_TOL:
         raise ValueError("observable is not Hermitian")
     layout = psi.layout
     d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
     if M_C.shape != (d_C, d_C):
         raise ValueError("observable must act on the central region")
     w, v = np.linalg.eigh(M_C)
-    groups = cluster_eigenvalues(w, cluster_tol)
+    groups = cluster_eigenvalues(w, OUTCOME_CLUSTER_TOL)
     projected, probs, values = [], [], []
     for idx in groups:
         cols = v[:, idx]
@@ -178,7 +191,7 @@ def measure(psi: PureState, M_C, rng, cluster_tol: float = CLUSTER_TOL) -> Measu
         probs.append(p)
         values.append(float(np.mean(w[idx])))
     probs = np.asarray(probs)
-    live = probs > 1e-12
+    live = probs > BORN_TOL
     g = as_generator(rng)
     pick = g.choice(np.flatnonzero(live), p=probs[live] / probs[live].sum())
     post = PureState(projected[pick] / np.sqrt(probs[pick]), layout)
@@ -198,11 +211,12 @@ class MeasurementRecord:
         ]
 
 
-def classify_observable(wall, M_C, tol: float = 1e-9) -> str:
+def classify_observable(wall, M_C) -> str:
     """Whether the observable lies in A_C, in its commutant, or in neither."""
-    if contains(wall.A_C, M_C, tol):
+    if contains(wall.A_C, M_C, OBSERVABLE_MEMBER_TOL):
         return "central"
-    if max_commutator(np.asarray(M_C)[None], wall.A_C.basis) <= tol * hs_norm(M_C):
+    commutator = max_commutator(np.asarray(M_C)[None], wall.A_C.basis)
+    if commutator <= OBSERVABLE_COMMUTE_TOL * hs_norm(M_C):
         return "commutant"
     return "neither"
 

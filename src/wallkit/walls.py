@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layout import SeededRng, SystemLayout
-from .linalg import RANK_TOL, dagger, embed, haar_unitary, hs_norm
+from .linalg import GATE_TOL, dagger, embed, haar_unitary, hs_norm
 from .algebra import MatrixAlgebra, close_algebra, equals
 from .blocks import BlockStructure, decompose
 from . import dynamics
@@ -32,7 +32,7 @@ def pauli_string(s: str) -> np.ndarray:
     return out
 
 
-def resolve_central_algebra(alg, layout: SystemLayout, tol: float = RANK_TOL) -> MatrixAlgebra:
+def resolve_central_algebra(alg, layout: SystemLayout) -> MatrixAlgebra:
     """The central algebra on C of ``layout`` that ``alg`` names ("diag",
     "full" or "pauli:XI,ZX") or lists as generator matrices."""
     c_layout = SystemLayout(layout.center_dims)
@@ -56,7 +56,7 @@ def resolve_central_algebra(alg, layout: SystemLayout, tol: float = RANK_TOL) ->
         gens = [np.asarray(g, dtype=complex) for g in alg]
         if any(g.shape != (d_C, d_C) for g in gens):
             raise ValueError("central generators must act on C only")
-    return close_algebra(gens, c_layout, tol)
+    return close_algebra(gens, c_layout)
 
 
 @dataclass
@@ -147,12 +147,12 @@ def conditional_unitary(eigenbasis, branches, control_first: bool = False) -> np
     dc = vecs.shape[0]
     if len(branches) != dc:
         raise ValueError("need one branch unitary per control basis vector")
-    if hs_norm(vecs @ dagger(vecs) - np.eye(dc)) > 1e-10:
+    if hs_norm(vecs @ dagger(vecs) - np.eye(dc)) > GATE_TOL:
         raise ValueError("control eigenbasis is not orthonormal")
     out = None
     for v, b in zip(vecs, branches):
         b = np.asarray(b, dtype=complex)
-        if hs_norm(b @ dagger(b) - np.eye(b.shape[0])) > 1e-10:
+        if hs_norm(b @ dagger(b) - np.eye(b.shape[0])) > GATE_TOL:
             raise ValueError("branch is not unitary")
         proj = np.outer(v, v.conj())
         term = np.kron(proj, b) if control_first else np.kron(b, proj)

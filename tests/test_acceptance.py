@@ -94,7 +94,7 @@ def test_criterion_2_double_commutant():
         n_gens = 1 + k % 3
         gens = g.standard_normal((n_gens, d, d)) + 1j * g.standard_normal((n_gens, d, d))
         alg = close_algebra(gens, SystemLayout((2,) * n_sites))
-        if not equals(alg, commutant(commutant(alg)), 1e-8):
+        if not equals(alg, commutant(commutant(alg))):
             failures += 1
     _report(2, failures == 0, f"Comm(Comm(A)) = A for {30 - failures}/30 random generator sets")
 
@@ -119,7 +119,7 @@ def test_criterion_3_wedderburn_identities():
             problems.append(f"case {i}: sum dD*dE != d_C")
         if sum(dD * dD for dD, _ in bs.blocks) != alg.dim:
             problems.append(f"case {i}: sum dD^2 != dim A")
-        if not equals(alg, reconstruct(bs), 1e-8):
+        if not equals(alg, reconstruct(bs)):
             problems.append(f"case {i}: reconstruction residual too large")
     sig = isomorphism_signature(
         decompose(

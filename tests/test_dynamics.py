@@ -8,10 +8,10 @@ import pytest
 
 import wallkit.cli as cli
 import wallkit.dynamics as dynamics
-from wallkit.blocks import VERIFY_TOL
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import (
-    RANK_TOL,
+    ESCAPE_TOL,
+    VERIFY_TOL,
     ZERO_TOL,
     dagger,
     embed,
@@ -30,7 +30,6 @@ from wallkit.algebra import (
     intersect,
 )
 from wallkit.dynamics import (
-    ESCAPE_TOL,
     brickwork_unitary,
     conserved_algebra,
     evolve_op,
@@ -51,7 +50,7 @@ from wallkit.walls import (
     resolve_central_algebra,
     synth_wall,
 )
-from conftest import decomposed_gauged_sequence, superoperator_commutant
+from conftest import decomposed_gauged_sequence, superoperator_commutant, swap_edges
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L3 = SystemLayout((2, 2, 2))
@@ -223,10 +222,10 @@ class TestVerifyWall:
 
 
 def _per_element_closure(U, layout, side, tol):
-    """Oracle: the closure with the per-element escape rule and no probe,
-    with its own right-edge branch and einsum sandwiches in chunks, with
-    early exit.  Returns (passed, rounds, central basis or None, worst
-    relative residual seen in the last round)."""
+    """Oracle: the closure with the per-element escape rule at ``tol`` and
+    no probe, with its own right-edge branch and einsum sandwiches in
+    chunks, with early exit.  Returns (passed, rounds, central basis or
+    None, worst relative residual seen in the last round)."""
     d_C = layout.d_center
     d_edge = layout.d_left if side == "left" else layout.d_right
     d_bulk = layout.dim // d_edge
@@ -237,7 +236,7 @@ def _per_element_closure(U, layout, side, tol):
     else:
         T = U.reshape(d_bulk, d_edge, d_bulk, d_edge).transpose(1, 3, 0, 2)
         lift, shape = "kab,ij->kiajb", (d_out, d_C, d_out, d_C)
-    m = orthonormal_basis(T.reshape(d_edge * d_edge, d_bulk, d_bulk), tol)
+    m = orthonormal_basis(T.reshape(d_edge * d_edge, d_bulk, d_bulk))
     trace_axes = (2, 4) if side == "left" else (1, 3)
     c_layout = SystemLayout(layout.center_dims)
     a = np.eye(d_C, dtype=complex)[None] / np.sqrt(d_C)
@@ -261,17 +260,17 @@ def _per_element_closure(U, layout, side, tol):
             if worst > tol:
                 return False, rounds, None, worst
             collected.append(core[norms > ZERO_TOL])
-        new = close_algebra(list(np.concatenate(collected)), c_layout, RANK_TOL).basis
+        new = close_algebra(list(np.concatenate(collected)), c_layout).basis
         if len(new) == len(a):
             return True, rounds, new, worst
         a = new
     raise AssertionError("oracle closure did not stabilize")
 
 
-def _assert_matches_oracle(U, layout, tol=ESCAPE_TOL):
-    rep = verify_wall(U, layout, tol)
-    left = _per_element_closure(U, layout, "left", tol)
-    right = _per_element_closure(U, layout, "right", tol)
+def _assert_matches_oracle(U, layout):
+    rep = verify_wall(U, layout)
+    left = _per_element_closure(U, layout, "left", ESCAPE_TOL)
+    right = _per_element_closure(U, layout, "right", ESCAPE_TOL)
     assert (rep.left, rep.steps_left) == left[:2]
     assert (rep.right, rep.steps_right) == right[:2]
     c_layout = SystemLayout(layout.center_dims)
@@ -330,9 +329,10 @@ class TestClosureProbe:
             assert [(r.start, r.width, r.left, r.right) for r in records] == expected
 
     def test_near_threshold_falls_through_to_per_element_rule(self, monkeypatch):
-        # a wall perturbed by eps, with tol just below the worst relative
-        # escape of one sandwich: the probe cannot certify the escape, so
-        # only the per-element rule rejects the round.  (The edge blocks of
+        # a wall perturbed by eps, with the escape threshold that dynamics
+        # reads set just below the worst relative escape of one sandwich:
+        # the probe cannot certify the escape, so only the per-element rule
+        # rejects the round.  (The edge blocks of
         # this preset already span their full space, so the perturbation
         # adds no edge direction of norm eps, whose sandwiches would escape
         # by O(1) relative to their norm.)
@@ -349,7 +349,8 @@ class TestClosureProbe:
         monkeypatch.setattr(
             dynamics, "_probe_escapes", lambda *args: fired.append(probe(*args)) or fired[-1]
         )
-        rep = verify_wall(U, wall.layout, tol)
+        monkeypatch.setattr(dynamics, "ESCAPE_TOL", tol)
+        rep = verify_wall(U, wall.layout)
         assert fired and not any(fired)
         assert not rep.left and rep.steps_left == 1
 
@@ -366,8 +367,8 @@ ORACLE_WALLS = (
 
 
 def _swapped_layout(layout):
-    """The (R, C, L) layout that ``dynamics._swap_edges`` maps (L, C, R)
-    operators to."""
+    """The (R, C, L) layout that ``swap_edges`` maps (L, C, R) operators
+    to."""
     n_c = len(layout.center_dims)
     return SystemLayout(
         (layout.d_right,) + layout.center_dims + (layout.d_left,),
@@ -428,7 +429,7 @@ class TestInvariantAlgebras:
             assert np.max(np.abs(gram - np.eye(alg.dim))) < 1e-12
         assert equals(extract_central_factor(lbar, layout), inv.A_C)
         swapped_layout = _swapped_layout(layout)
-        swapped = MatrixAlgebra(dynamics._swap_edges(rbar.basis, layout), swapped_layout)
+        swapped = MatrixAlgebra(swap_edges(rbar.basis, layout), swapped_layout)
         assert equals(extract_central_factor(swapped, swapped_layout), inv.B_C)
         # each lift holds its own edge algebra in the right tensor slot
         d_L, d_C, d_R = layout.d_left, layout.d_center, layout.d_right
@@ -467,8 +468,8 @@ def _full_space_conserved(inv):
     out_sites = tuple(layout.left) + tuple(layout.right)
     c_mats = []
     for x in joint.basis:
-        sup, _ = support(x, layout, 1e-8)
-        assert sup <= set(layout.center)
+        _, residuals = support(x, layout)
+        assert {s for s, r in enumerate(residuals) if r >= 1e-8} <= set(layout.center)
         c_mats.append(partial_trace(x, out_sites, layout) / (d_L * d_R))
     return MatrixAlgebra(orthonormal_basis(c_mats), SystemLayout(layout.center_dims))
 
@@ -720,7 +721,7 @@ class TestScan:
             for width in range(1, min(max_width, n - 2) + 1):
                 for start in range(1, n - width):
                     layout = SystemLayout.chain(dims, start, width)
-                    rep = dynamics._verify_wall(U, layout, ESCAPE_TOL)
+                    rep = dynamics._verify_wall(U, layout)
                     expected.append((start, width, rep.left, rep.right))
             cuts.clear()
             records = scan_chain(dims, even, odd, max_width=max_width).records
@@ -758,19 +759,16 @@ class TestCutFrames:
     @pytest.mark.parametrize("source", [*PRESET_NAMES, "2,2,2", "2,3,2"])
     def test_prefix_frame_spans_the_right_edge_blocks(self, source):
         # the prefix frame of the L C | R cut, reordered to (C, L), spans the
-        # same space as the right frame that verify_wall takes from the
-        # edge-swapped U
+        # same space as the left frame of the edge-swapped U
         if source in PRESET_NAMES:
             wall = preset_wall(source)
         else:
             wall = cli._wall_from_config(cli.parse_config(["verify", "--dims", source]))
         lay = wall.layout
         d_L, d_C = lay.d_left, lay.d_center
-        _, prefix = dynamics._cut_frames(wall.U, d_L * d_C, ESCAPE_TOL)
-        r = len(prefix)
-        moved = prefix.reshape(r, d_L, d_C, d_L, d_C).transpose(0, 2, 1, 4, 3)
-        moved = moved.reshape(r, d_C * d_L, d_C * d_L)
-        swapped = dynamics._swap_edges(wall.U[None], lay)[0]
-        right, _ = dynamics._cut_frames(swapped, lay.d_right, ESCAPE_TOL)
-        assert r == len(right)
+        _, prefix = dynamics._cut_frames(wall.U, d_L * d_C)
+        moved = dynamics._center_first(prefix, d_L, d_C)
+        swapped = swap_edges(wall.U[None], lay)[0]
+        right, _ = dynamics._cut_frames(swapped, lay.d_right)
+        assert len(moved) == len(right)
         assert np.allclose(projector_onto(moved), projector_onto(right), atol=1e-12)

@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import wallkit.linalg as linalg
 from wallkit.cli import parse_config, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,3 +45,11 @@ def test_sff_example_is_what_the_cli_runs(tmp_path, capsys):
     rows = json.loads(out.read_text())["rows"]
     assert [r[1] for r in rows] == list(ns["res"].K_mc)
     assert [r[3] for r in rows] == list(ns["res"].K_analytic)
+
+
+def test_tolerance_table_is_the_code_table():
+    section = README.read_text().split("## Tolerances")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([A-Z_]+_TOL)` \| ([0-9e.-]+) \|", section, re.M)
+    code = {name: value for name, value in vars(linalg).items() if name.endswith("_TOL")}
+    assert {name: float(value) for name, value in rows} == code
+    assert len(rows) == len(code)
