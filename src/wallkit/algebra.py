@@ -15,7 +15,6 @@ from .linalg import (
     RANK_TOL,
     SPAN_EQUAL_TOL,
     ZERO_TOL,
-    dagger,
     hs_norm,
     nullspace,
     orthonormal_basis,
@@ -68,20 +67,25 @@ def _pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def close_algebra(generators, layout: SystemLayout) -> MatrixAlgebra:
     """Smallest unital, adjoint- and product-closed span containing the
-    generators.  Empty generator list gives <1>.
+    generators, a list of (d, d) matrices or a stacked (k, d, d) array.  No
+    generators give <1>.
     """
     d = layout.dim
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if any(g.shape != (d, d) for g in gens):
+    try:
+        gens = np.array(generators, dtype=complex)
+    except ValueError:  # a ragged list
+        raise ValueError("generator dimensions do not match layout") from None
+    if not len(gens):
+        gens = gens.reshape(0, d, d)
+    if gens.ndim != 3 or gens.shape[1:] != (d, d):
         raise ValueError("generator dimensions do not match layout")
-    seed = [np.eye(d, dtype=complex)] + gens + [dagger(g) for g in gens]
-    basis = orthonormal_basis(np.asarray(seed))
+    seed = np.concatenate([np.eye(d, dtype=complex)[None], gens, gens.conj().transpose(0, 2, 1)])
+    basis = orthonormal_basis(seed)
     for _ in range(d * d + 1):
         prods = _pairwise_products(basis, basis)
         new = orthonormal_basis(np.concatenate([basis, prods]))
         if len(new) == len(basis):
-            gen_stack = np.asarray(gens) if gens else None
-            return MatrixAlgebra(new, layout, generators=gen_stack)
+            return MatrixAlgebra(new, layout, generators=gens if len(gens) else None)
         basis = new
     raise RuntimeError("algebra closure failed to stabilize (numerical drift)")
 

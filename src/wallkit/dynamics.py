@@ -4,6 +4,7 @@ conserved algebras, gauged sequences, fragmentation, and chain scanning."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 import numpy as np
@@ -168,11 +169,16 @@ def _lift(a: np.ndarray, d_out: int) -> np.ndarray:
 def _compress_to_center(X: np.ndarray, d_C: int, d_out: int):
     """Project bulk operators on C x out onto (center x identity).
 
-    Returns (center parts, escape residuals, norms), both norms HS."""
+    X is a temporary (n, d_C d_out, d_C d_out) stack and is overwritten with
+    its escape X - core x 1: the core is subtracted from its out-diagonal
+    in place.  Returns (center parts, escape residuals, norms), both norms
+    HS."""
     n = len(X)
-    core = np.trace(X.reshape(n, d_C, d_out, d_C, d_out), axis1=2, axis2=4) / d_out
-    norms = np.linalg.norm(X.reshape(n, -1), axis=1)
-    resid = np.linalg.norm((X - _lift(core, d_out)).reshape(n, -1), axis=1)
+    T = X.reshape(n, d_C, d_out, d_C, d_out)
+    core = np.trace(T, axis1=2, axis2=4) / d_out
+    norms = np.linalg.norm(T.reshape(n, -1), axis=1)
+    np.einsum("icoko->icko", T)[...] -= core[..., None]
+    resid = np.linalg.norm(T.reshape(n, -1), axis=1)
     return core, resid, norms
 
 
@@ -180,24 +186,34 @@ def _compress_to_center(X: np.ndarray, d_C: int, d_out: int):
 PROBE_SEED = 20100
 
 
-def _complex_normal(g: np.random.Generator, n: int) -> np.ndarray:
-    return g.standard_normal(n) + 1j * g.standard_normal(n)
+@cache
+def _probe_generator():
+    """(the one probe generator, PROBE_SEED's state), built on first use so
+    that importing wallkit does not load numpy.random.  Every closure resets
+    the generator to that state."""
+    g = np.random.default_rng(PROBE_SEED)
+    return g, g.bit_generator.state
 
 
-def _probe_escapes(m, a, d_out: int, bound: float, g: np.random.Generator) -> bool:
+def _probe_escapes(m, m_dag, a, d_out: int, bound: float, g: np.random.Generator) -> bool:
     """True when one random element of the next round's sandwich span proves
     that some sandwich m_p lift(a_k) m_q^dag escapes by more than ``bound``.
 
-    The probe is P = x s y^dag with x = sum c_p m_p, y = sum c'_q m_q and
-    s = lift(sum e_k a_k).  The escape residual r is a seminorm, so
-    r(P) <= (sum |c_p|)(sum |c'_q|)(sum |e_k|) max r(sandwich), and the probe
-    fires only when r(P) exceeds ``bound`` times that coefficient weight.
+    The probe is P = x (s x 1) y^dag with x = sum c_p m_p,
+    y^dag = sum c'_q m_q^dag and s = sum e_k a_k; (s x 1) y^dag is one
+    product over C alone (d_bulk^2 d_C work).  The escape residual r is a
+    seminorm, so r(P) <= (sum |c_p|)(sum |c'_q|)(sum |e_k|) max r(sandwich),
+    and the probe fires only when r(P) exceeds ``bound`` times that
+    coefficient weight.
     """
-    c, c2, e = _complex_normal(g, len(m)), _complex_normal(g, len(m)), _complex_normal(g, len(a))
-    x = np.tensordot(c, m, axes=1)
-    y = np.tensordot(c2, m, axes=1)
-    s = _lift(np.tensordot(e, a, axes=1)[None], d_out)[0]
-    _, resid, _ = _compress_to_center((x @ s @ dagger(y))[None], a.shape[1], d_out)
+    kB, ka, d_bulk, d_C = len(m), len(a), m.shape[1], a.shape[1]
+    w = g.standard_normal(2 * kB + ka) + 1j * g.standard_normal(2 * kB + ka)
+    c, c2, e = w[:kB], w[kB : 2 * kB], w[2 * kB :]
+    x = np.dot(c, m.reshape(kB, -1)).reshape(d_bulk, d_bulk)
+    y_dag = np.dot(c2, m_dag.reshape(kB, -1)).reshape(d_C, d_out * d_bulk)
+    s = np.dot(e, a.reshape(ka, -1)).reshape(d_C, d_C)
+    P = x @ np.dot(s, y_dag).reshape(d_bulk, d_bulk)
+    _, resid, _ = _compress_to_center(P[None], d_C, d_out)
     weight = np.abs(c).sum() * np.abs(c2).sum() * np.abs(e).sum()
     return bool(resid[0] > bound * weight)
 
@@ -233,13 +249,14 @@ def _directional_closure(m: np.ndarray, center_dims: tuple):
     kB = len(m)
     c_layout = SystemLayout(center_dims)
     a = np.eye(d_C, dtype=complex)[None] / np.sqrt(d_C)
-    probe_rng = np.random.default_rng(PROBE_SEED)
+    probe_rng, probe_state = _probe_generator()
+    probe_rng.bit_generator.state = probe_state
     probe_bound = max(ESCAPE_TOL * np.sqrt(d_out), ZERO_TOL)
 
     # each round that does not stabilize grows S, whose dimension is <= d_C^2
     max_rounds = d_C**2 + 1
     for rounds in range(1, max_rounds + 1):
-        if _probe_escapes(m, a, d_out, probe_bound, probe_rng):
+        if _probe_escapes(m, m_dag, a, d_out, probe_bound, probe_rng):
             return False, rounds, None
         lifted = _lift(a, d_out)
         # sandwiches m_p s m_q^dag in (p, a, q) order, in memory-bounded
@@ -254,7 +271,7 @@ def _directional_closure(m: np.ndarray, center_dims: tuple):
             if np.any(rel > ESCAPE_TOL):
                 return False, rounds, None
             collected.append(core[norms > ZERO_TOL])
-        new = close_algebra(list(np.concatenate(collected)), c_layout).basis
+        new = close_algebra(np.concatenate(collected), c_layout).basis
         if len(new) == len(a):
             return True, rounds, new
         a = new
@@ -414,10 +431,25 @@ def conserved_algebra(inv: WallReport) -> MatrixAlgebra:
 
 @dataclass
 class GaugedSequenceReport:
-    spaces: list[MatrixAlgebra]
+    """The spans are not stored: ``spaces`` rebuilds them on each access
+    from Lbar and the step unitaries, by the products ``gauged_sequence``
+    made, so they have its bytes and the report does not grow by a span per
+    step."""
+
+    lbar: MatrixAlgebra
+    steps: list[np.ndarray]  # U~_0 = G_0, U~_1, ..., U~_T
     signature: tuple  # of Lbar, carried to every span
     residuals: list[float]  # of each span against the block form of its frame
     all_equal: bool  # every residual is within VERIFY_TOL
+
+    @property
+    def spaces(self) -> list[MatrixAlgebra]:
+        """The span U~_tau ... U~_0 Lbar U~_0^dag ... U~_tau^dag of every step."""
+        basis, spaces = self.lbar.basis, []
+        for Ut in self.steps:
+            basis = Ut @ basis @ dagger(Ut)
+            spaces.append(MatrixAlgebra(basis, self.lbar.layout))
+        return spaces
 
 
 def gauged_sequence(wall, gauges) -> GaugedSequenceReport:
@@ -445,12 +477,14 @@ def gauged_sequence(wall, gauges) -> GaugedSequenceReport:
         np.kron(np.kron(np.eye(d_L), bs.V[:, off : off + dD * dE]), np.eye(d_R))
         for off, (dD, dE) in zip(bs.block_offsets(), bs.blocks)
     ], axis=1)
-    basis, spaces, residuals = lbar.basis, [], []
-    for Ut in [G0] + [dagger(G) @ wall.U @ G_prev for G_prev, G in zip(gauges, gauges[1:])]:
+    steps = [G0] + [dagger(G) @ wall.U @ G_prev for G_prev, G in zip(gauges, gauges[1:])]
+    basis, residuals = lbar.basis, []
+    for Ut in steps:
         basis, V = Ut @ basis @ dagger(Ut), Ut @ V
-        spaces.append(MatrixAlgebra(basis, wall.layout))
         residuals.append(_verify_block_form(basis, V, blocks))
-    return GaugedSequenceReport(spaces, tuple(sorted(blocks)), residuals, max(residuals) <= VERIFY_TOL)
+    return GaugedSequenceReport(
+        lbar, steps, tuple(sorted(blocks)), residuals, max(residuals) <= VERIFY_TOL
+    )
 
 
 @dataclass

@@ -348,11 +348,12 @@ def sff_mc(blocks, d_L: int, d_R: int, t_max: int, samples: int, rng: SeededRng)
 
 def _haar_stack(g, count: int, n: int) -> np.ndarray:
     """``count`` Haar unitaries of size n from one (count, n, n, 2) draw of
-    normals (real, imaginary)."""
+    normals (real, imaginary), scaled in place and read as complex.  The
+    scale multiplies by 1/sqrt(2), as numpy's complex-by-real division does,
+    so the Ginibre entries have the bytes of (re + 1j im) / sqrt(2)."""
     x = g.standard_normal((count, n, n, 2))
-    z = (x[..., 0] + 1j * x[..., 1]) / np.sqrt(2)
-    del x
-    return haar_from_ginibre(z)
+    x *= 1 / np.sqrt(2)
+    return haar_from_ginibre(x.view(np.complex128)[..., 0])
 
 
 def _waiting_traces(w: np.ndarray, t_max: int) -> np.ndarray:

@@ -3,12 +3,15 @@ the terminal summary (plain prints are swallowed by output capture).  Also
 the superoperator commutant, an oracle independent of the block frame, the
 gauged sequence decomposed afresh at every step, an oracle independent of
 the carried frame, and the (L, C, R) -> (R, C, L) edge swap, an oracle for
-the right-edge frames that the wall checks read off the cut after C."""
+the right-edge frames that the wall checks read off the cut after C, and
+the lift-and-subtract compression, an oracle for the bytes of the in-place
+one the closure uses."""
 
 import numpy as np
 
 from wallkit.algebra import MatrixAlgebra
 from wallkit.blocks import decompose, isomorphism_signature
+from wallkit.dynamics import _lift
 from wallkit.layout import as_generator
 from wallkit.linalg import dagger, nullspace, orthonormal_basis
 
@@ -50,6 +53,17 @@ def swap_edges(basis, layout):
     T = basis.reshape(k, d_L, d_C, d_R, d_L, d_C, d_R)
     T = T.transpose(0, 3, 2, 1, 6, 5, 4)
     return T.reshape(k, layout.dim, layout.dim)
+
+
+def lifted_compress(X, d_C, d_out):
+    """Oracle: (center parts, escape residuals, norms) of a bulk stack X on
+    C x out, the escape taken as X minus the built lift core x 1_{d_out}.
+    X is not written."""
+    n = len(X)
+    core = np.trace(X.reshape(n, d_C, d_out, d_C, d_out), axis1=2, axis2=4) / d_out
+    norms = np.linalg.norm(X.reshape(n, -1), axis=1)
+    resid = np.linalg.norm((X - _lift(core, d_out)).reshape(n, -1), axis=1)
+    return core, resid, norms
 
 
 def pytest_terminal_summary(terminalreporter):

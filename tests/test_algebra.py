@@ -98,6 +98,39 @@ class TestClosure:
         alg = close_algebra([Z], L1)
         assert alg.generators is not None and len(alg.generators) == 1
 
+    def test_list_and_stack_give_the_same_bases(self):
+        g = np.random.default_rng(5)
+        for gens in (
+            [pauli_string("XI"), pauli_string("ZX")],
+            [np.diag([1.0, 0, 0, 1]), np.roll(np.eye(4), 1, axis=0)],
+            list(g.standard_normal((2, 4, 4)) + 1j * g.standard_normal((2, 4, 4))),
+        ):
+            from_list = close_algebra(gens, L2)
+            from_stack = close_algebra(np.asarray(gens), L2)
+            assert from_list.basis.tobytes() == from_stack.basis.tobytes()
+            assert from_list.generators.tobytes() == from_stack.generators.tobytes()
+
+    def test_empty_list_and_stack_give_the_identity(self):
+        for gens in ([], np.zeros((0, 4, 4), dtype=complex)):
+            alg = close_algebra(gens, L2)
+            assert alg.dim == 1 and alg.generators is None
+            assert contains(alg, np.eye(4))
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [np.eye(4), np.eye(2)],  # ragged list
+            [np.eye(2)],  # a list of the wrong size
+            np.zeros((2, 2, 2)),  # a stack of the wrong size
+            np.eye(4),  # one matrix, not a stack
+            np.zeros((2, 16)),  # flattened matrices
+            np.zeros((1, 2, 8)),  # same element count, wrong shape
+        ],
+    )
+    def test_wrong_shape_raises(self, gens):
+        with pytest.raises(ValueError, match="generator dimensions do not match layout"):
+            close_algebra(gens, L2)
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=15, deadline=None)
     def test_idempotence(self, seed, k):

@@ -50,7 +50,12 @@ from wallkit.walls import (
     resolve_central_algebra,
     synth_wall,
 )
-from conftest import decomposed_gauged_sequence, superoperator_commutant, swap_edges
+from conftest import (
+    decomposed_gauged_sequence,
+    lifted_compress,
+    superoperator_commutant,
+    swap_edges,
+)
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L3 = SystemLayout((2, 2, 2))
@@ -355,6 +360,86 @@ class TestClosureProbe:
         assert not rep.left and rep.steps_left == 1
 
 
+def _sandwiches(m, a, d_out):
+    """Every sandwich m_p (a_k x 1) m_q^dag of a bulk frame m and a stack a
+    on C, formed as the closure forms them."""
+    d_bulk = m.shape[1]
+    part = m[:, None] @ dynamics._lift(a, d_out)[None]
+    return (part[:, :, None] @ m.conj().transpose(0, 2, 1)).reshape(-1, d_bulk, d_bulk)
+
+
+class TestClosureKernel:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_compress_keeps_the_bytes_of_lift_and_subtract(self, name):
+        wall = preset_wall(name)
+        lay = wall.layout
+        d_L, d_C = lay.d_left, lay.d_center
+        rep = verify_wall(wall.U, lay)
+        left, _ = dynamics._cut_frames(wall.U, d_L)
+        _, prefix = dynamics._cut_frames(wall.U, d_L * d_C)
+        right = dynamics._center_first(prefix, d_L, d_C)
+        g = SeededRng(47).generator()
+        for m, a in ((left, rep.A_C.basis), (right, rep.B_C.basis)):
+            d_out = m.shape[1] // d_C
+            # the central factor (sandwiches stay inside), random operators
+            # on C (their sandwiches escape) and zero (zero-norm sandwiches)
+            noise = g.standard_normal((2, d_C, d_C)) + 1j * g.standard_normal((2, d_C, d_C))
+            X = _sandwiches(m, np.concatenate([a, noise, np.zeros((1, d_C, d_C))]), d_out)
+            expected = lifted_compress(X, d_C, d_out)
+            assert np.any(expected[2] == 0) and np.any(expected[1] > 1e-3 * expected[2])
+            got = dynamics._compress_to_center(X.copy(), d_C, d_out)
+            for want, have in zip(expected, got, strict=True):
+                assert want.tobytes() == have.tobytes()
+
+
+def _seed_probes(monkeypatch, seed):
+    """Make every closure draw its probes from ``seed`` in place of PROBE_SEED."""
+    g = np.random.default_rng(seed)
+    monkeypatch.setattr(dynamics, "_probe_generator", lambda: (g, g.bit_generator.state))
+
+
+def _wall_results():
+    """Every preset's wall check: summary, closure rounds and factor bytes."""
+    out = []
+    for name in PRESET_NAMES:
+        wall = preset_wall(name)
+        rep = verify_wall(wall.U, wall.layout)
+        out.append((rep.summary(), rep.steps_left, rep.steps_right,
+                    rep.A_C.basis.tobytes(), rep.B_C.basis.tobytes()))
+    return out
+
+
+def _chain_records():
+    """The scan records of acceptance criterion 10's chains."""
+    return [
+        [(r.start, r.width, r.left, r.right) for r in scan_chain((2,) * 8, even, odd).records]
+        for even, odd in _scanner_chains(8)
+    ]
+
+
+@pytest.fixture(scope="module")
+def default_probe_results():
+    return _wall_results(), _chain_records()
+
+
+class TestProbeDraws:
+    """The probe only fires on rounds that the per-element rule rejects, so
+    no draw of its coefficients can change a result."""
+
+    @pytest.mark.parametrize("seed", (1, 4242, 2**31 + 7))
+    def test_other_probe_seeds_give_the_same_results(self, seed, monkeypatch, default_probe_results):
+        _seed_probes(monkeypatch, seed)
+        walls, chains = default_probe_results
+        assert _wall_results() == walls
+        assert _chain_records() == chains
+
+    def test_results_do_not_depend_on_call_order(self):
+        first = _wall_results()
+        even, odd = _scanner_chains(8)[1]
+        scan_chain((2,) * 8, even, odd)
+        assert _wall_results() == first
+
+
 SHARED_BUILDER = ("abelian-pair", "reducible-composite", "soliton-x", "uncoupled-center", "swap-zz")
 # walls whose lifted Lbar and Rbar are checked against the central factors:
 # the presets, the shared-builder presets on (d_L, d_R) = (3, 4), and the
@@ -573,6 +658,36 @@ class TestGaugedSequence:
             assert all(equals(a, b) for a, b in zip(spaces, rep.spaces)), wall.name
             # the carried block form holds far inside its bound
             assert max(rep.residuals) < 1e-12, wall.name
+
+    def test_spaces_are_rebuilt_with_the_bytes_of_the_sequence(self):
+        wall = preset_wall("nonabelian-cnot")
+        d = wall.layout.dim
+        g = SeededRng(31).generator()
+        gauges = [np.eye(d)] + [haar_unitary(d, g) for _ in range(4)]
+        rep = gauged_sequence(wall, gauges)
+        basis = wall.invariants.Lbar.basis
+        steps = [gauges[0]] + [dagger(G) @ wall.U @ G_prev for G_prev, G in zip(gauges, gauges[1:])]
+        for Ut, space in zip(steps, rep.spaces, strict=True):
+            basis = Ut @ basis @ dagger(Ut)
+            assert space.basis.tobytes() == basis.tobytes()
+
+    def test_report_does_not_grow_by_a_span_per_step(self):
+        wall = preset_wall("uncoupled-center")  # d = 32
+        d = wall.layout.dim
+        span_bytes = wall.invariants.Lbar.basis.nbytes
+        g = SeededRng(32).generator()
+        gauges = [np.eye(d)] + [haar_unitary(d, g) for _ in range(20)]
+        held = {}
+        for steps in (3, 21):
+            tracemalloc.start()
+            rep = gauged_sequence(wall, gauges[:steps])
+            held[steps] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            assert rep.all_equal
+            del rep
+        # 18 more steps keep 18 more d x d unitaries (an eighth of a span
+        # each here), not 18 more spans
+        assert held[21] - held[3] < 18 * span_bytes / 2, (held, span_bytes)
 
     def test_non_unitary_step_breaks_the_block_form(self):
         wall = preset_wall("abelian-pair")

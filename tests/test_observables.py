@@ -547,6 +547,16 @@ class TestSFFMonteCarlo:
         spread = np.std(np.abs(ta + tb) ** 2) / np.sqrt(n)
         assert abs(total - expected) < 4 * spread
 
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_haar_stack_keeps_the_bytes_of_the_complex_expression(self, n):
+        # the in-place scale and complex view give the entries of
+        # (re + 1j im) / sqrt(2), so the draws of every sff call keep their bytes
+        count = 3
+        x = SeededRng(27, n).generator().standard_normal((count, n, n, 2))
+        expected = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
+        got = observables._haar_stack(SeededRng(27, n).generator(), count, n)
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("ensemble", ["reducible-composite", "haar", "mixed"])
     def test_batched_matches_per_sample_loop(self, ensemble):
         # reference: for each block size in ascending order, sample by sample
