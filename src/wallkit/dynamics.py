@@ -357,16 +357,12 @@ def verify_wall(U, layout: SystemLayout) -> WallReport:
     report carries the central factors A_C and B_C (on C) of each side that
     passes.
     """
-    return _verify_wall(_check_unitary(U, layout.dim), layout)
-
-
-def _verify_wall(U: np.ndarray, layout: SystemLayout) -> WallReport:
-    """``verify_wall`` on a U already checked to be a d x d unitary.  The
-    left frame is the suffix frame of the cut after L, the right frame the
-    prefix frame of the cut after C, center first, as in ``scan_chain``."""
+    U = _check_unitary(U, layout.dim)
     if not layout.left or not layout.right:
         raise ValueError("wall verification needs non-empty L and R regions")
     d_L, d_C = layout.d_left, layout.d_center
+    # the left frame is the suffix frame of the cut after L, the right frame
+    # the prefix frame of the cut after C, center first
     m_left, _ = _cut_frames(U, d_L)
     _, prefix = _cut_frames(U, d_L * d_C)
     left, s_l, a_basis = _directional_closure(m_left, layout.center_dims)
@@ -553,49 +549,44 @@ class ScanReport:
         return out
 
 
-def brickwork_unitary(site_dims, even_gates, odd_gates) -> np.ndarray:
-    """Floquet unitary of a two-layer brickwork: even gates on (0,1),(2,3),...
-    applied first, odd gates on (1,2),(3,4),... second.  Each gate acts on
-    the two row axes of its sites, at O(d_gate^2 d^2) per gate."""
+def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2) -> ScanReport:
+    """Verify every candidate central window (width <= max_width) of a
+    two-layer brickwork Floquet unitary and report the wall windows found.
+    Even gates act on sites (0,1),(2,3),... first, odd gates on
+    (1,2),(3,4),... second.
+
+    Window [s, s + w) is checked by ``verify_wall`` on its light cone, the
+    sites [lo, hi) = [max(0, s - 2), min(n, s + w + 2)), with the product of
+    the gates that lie wholly inside them.  The left check depends only on
+    sites s - 1 ... s + w + 1 and the right check only on s - 2 ... s + w:
+    gates that lie wholly in L (for the left check) or in R (for the right
+    one) leave the span of the edge blocks unchanged, and gates more than
+    one site per layer beyond C cancel in every sandwich.  So each check has
+    at most w + 4 sites, whatever n is.  Every gate lies in the light cone
+    of a width-1 window, whose ``verify_wall`` checks that its product is
+    unitary."""
     site_dims = tuple(int(d) for d in site_dims)
-    n, d = len(site_dims), prod(site_dims)
-    U = np.eye(d, dtype=complex)
-    gates = [(2 * k, g) for k, g in enumerate(even_gates)]
-    gates += [(2 * k + 1, g) for k, g in enumerate(odd_gates)]
-    for s, g in gates:
+    n = len(site_dims)
+    layers = [(2 * k, g) for k, g in enumerate(even_gates)]
+    layers += [(2 * k + 1, g) for k, g in enumerate(odd_gates)]
+    gates = []  # (first site, gate) in application order
+    for s, g in layers:
         if s + 1 >= n:
             raise ValueError(f"gate on sites ({s}, {s + 1}) outside a chain of {n} sites")
         d_gate = site_dims[s] * site_dims[s + 1]
         g = np.asarray(g, dtype=complex)
         if g.shape != (d_gate, d_gate):
             raise ValueError(f"gate shape {g.shape} does not match site dims product {d_gate}")
-        d_pre = prod(site_dims[:s])
-        U = (g @ U.reshape(d_pre, d_gate, -1)).reshape(d, d)
-    return U
-
-
-def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2) -> ScanReport:
-    """Verify every candidate central window (width <= max_width) of the
-    brickwork Floquet unitary and report the wall windows found.
-
-    The checks run cut by cut: one ``_cut_frames`` SVD at each of the n - 1
-    bonds gives the left frame of every window that starts there and the
-    right frame of every window that ends there, so the records are those
-    of ``verify_wall`` on each window, at one SVD per bond."""
-    site_dims = tuple(int(d) for d in site_dims)
-    n = len(site_dims)
-    U = _check_unitary(brickwork_unitary(site_dims, even_gates, odd_gates), prod(site_dims))
-    widths = range(1, min(max_width, n - 2) + 1)  # wider windows leave L or R empty
-    left, right = {}, {}
-    for cut in range(1, n):
-        suffix, prefix = _cut_frames(U, prod(site_dims[:cut]))
-        for w in widths:
-            if cut + w < n:  # window [cut, cut + w) with L = [0, cut)
-                left[cut, w] = _directional_closure(suffix, site_dims[cut : cut + w])[0]
-            start = cut - w
-            if start >= 1:  # window [start, cut) with R = [cut, n)
-                m = _center_first(prefix, prod(site_dims[:start]), prod(site_dims[start:cut]))
-                right[start, w] = _directional_closure(m, site_dims[start:cut])[0]
-    return ScanReport(
-        [ScanRecord(s, w, left[s, w], right[s, w]) for w in widths for s in range(1, n - w)]
-    )
+        gates.append((s, g))
+    records = []
+    for w in range(1, min(max_width, n - 2) + 1):  # wider windows leave L or R empty
+        for s in range(1, n - w):
+            lo, hi = max(0, s - 2), min(n, s + w + 2)
+            d = prod(site_dims[lo:hi])
+            U = np.eye(d, dtype=complex)
+            for k, g in gates:  # each gate on the two row axes of its sites
+                if lo <= k and k + 2 <= hi:
+                    U = (g @ U.reshape(prod(site_dims[lo:k]), len(g), -1)).reshape(d, d)
+            rep = verify_wall(U, SystemLayout.chain(site_dims[lo:hi], s - lo, w))
+            records.append(ScanRecord(s, w, rep.left, rep.right))
+    return ScanReport(records)

@@ -32,9 +32,10 @@ FRAME_CLUSTER_TOL = 1e-7  # decompose: relative gap between w of two D indices o
 ORBIT_RANK_TOL = 1e-9  # decompose: orbit rank of a block, s > ORBIT_RANK_TOL * max(s_max, 1)
 POLAR_TOL = 1e-6  # decompose: largest entry moved by a block frame's polar cleanup
 VERIFY_TOL = 1e-8  # decompose, gauged_sequence: largest entry residual off the block form
-UNITARY_TOL = 1e-8  # verify_wall, scan_chain: HS norm of U U^dag - 1
-EDGE_RANK_TOL = 1e-9  # verify_wall, scan_chain: edge-frame rank, s > EDGE_RANK_TOL * s_max
-ESCAPE_TOL = 1e-9  # verify_wall, scan_chain: relative escape residual of a closure sandwich
+# scan_chain decides through verify_wall, on each window's light-cone unitary
+UNITARY_TOL = 1e-8  # verify_wall: HS norm of U U^dag - 1
+EDGE_RANK_TOL = 1e-9  # verify_wall: edge-frame rank, s > EDGE_RANK_TOL * s_max
+ESCAPE_TOL = 1e-9  # verify_wall: relative escape residual of a closure sandwich
 FACTOR_COMMUTE_TOL = 1e-9  # invariant_algebras: largest HS commutator of A_C and B_C
 CONSERVED_TOL = 1e-8  # conserved_algebra: largest HS commutator with A_C or B_C
 GAUGE_TOL = 1e-9  # gauged_sequence: largest HS residual of G_0 Lbar G_0^dag off Lbar

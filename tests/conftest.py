@@ -3,16 +3,19 @@ the terminal summary (plain prints are swallowed by output capture).  Also
 the superoperator commutant, an oracle independent of the block frame, the
 gauged sequence decomposed afresh at every step, an oracle independent of
 the carried frame, and the (L, C, R) -> (R, C, L) edge swap, an oracle for
-the right-edge frames that the wall checks read off the cut after C, and
-the lift-and-subtract compression, an oracle for the bytes of the in-place
-one the closure uses."""
+the right-edge frames that the wall checks read off the cut after C, the
+lift-and-subtract compression, an oracle for the bytes of the in-place one
+the closure uses, and the dense brickwork unitary of a whole chain with its
+per-window wall checks, an oracle for the chain scanner's light cones."""
+
+from math import prod
 
 import numpy as np
 
 from wallkit.algebra import MatrixAlgebra
 from wallkit.blocks import decompose, isomorphism_signature
-from wallkit.dynamics import _lift
-from wallkit.layout import as_generator
+from wallkit.dynamics import _lift, verify_wall
+from wallkit.layout import SystemLayout, as_generator
 from wallkit.linalg import dagger, nullspace, orthonormal_basis
 
 CRITERION_LINES: list[str] = []
@@ -64,6 +67,33 @@ def lifted_compress(X, d_C, d_out):
     norms = np.linalg.norm(X.reshape(n, -1), axis=1)
     resid = np.linalg.norm((X - _lift(core, d_out)).reshape(n, -1), axis=1)
     return core, resid, norms
+
+
+def brickwork_unitary(site_dims, even_gates, odd_gates):
+    """Oracle: the dense Floquet unitary of a two-layer brickwork, even gates
+    on (0,1),(2,3),... applied first, odd gates on (1,2),(3,4),... second.
+    Each gate acts on the two row axes of its sites."""
+    d = prod(site_dims)
+    U = np.eye(d, dtype=complex)
+    gates = [(2 * k, g) for k, g in enumerate(even_gates)]
+    gates += [(2 * k + 1, g) for k, g in enumerate(odd_gates)]
+    for s, g in gates:
+        g = np.asarray(g, dtype=complex)
+        U = (g @ U.reshape(prod(site_dims[:s]), len(g), -1)).reshape(d, d)
+    return U
+
+
+def dense_scan_records(site_dims, even_gates, odd_gates, max_width):
+    """Oracle: (start, width, left, right) of every window that ``scan_chain``
+    checks, each from ``verify_wall`` on the dense unitary of the whole chain."""
+    n = len(site_dims)
+    U = brickwork_unitary(site_dims, even_gates, odd_gates)
+    records = []
+    for width in range(1, min(max_width, n - 2) + 1):
+        for start in range(1, n - width):
+            rep = verify_wall(U, SystemLayout.chain(site_dims, start, width))
+            records.append((start, width, rep.left, rep.right))
+    return records
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -477,7 +477,8 @@ INVALID_CALLS = [
     "verify --dims 2,0,2",
     "verify --algebra haar --dims 2,2",
     "scan --chain-sites 4 --max-width 0",
-    "scan --chain-sites 11",
+    "scan --chain-sites 101",
+    "scan --chain-sites 40 --max-width 7",  # light cones of 11 sites
     "close --generators XI --out /nonexistent/x.json",  # an --out that cannot be opened
     # a one-dimensional L leaves only the scalar A_C invariant
     "verify --dims 1,2,1",
@@ -841,6 +842,10 @@ class TestScanWidthCap:
             rows[width] = (out.read_bytes(), time.monotonic() - t0)
         assert rows["1000000000000"][0] == rows["2"][0]
         assert rows["1000000000000"][1] < 1.0
+
+    def test_forty_site_chain_finds_the_embedded_wall(self, capsys):
+        p = _summary(capsys, ["scan", "--chain-sites", "40", "--embed-at", "21"])
+        assert p["data"]["minimal_windows"] == [[21, 1]]
 
 
 class TestArealawOneCall:

@@ -30,7 +30,6 @@ from wallkit.algebra import (
     intersect,
 )
 from wallkit.dynamics import (
-    brickwork_unitary,
     conserved_algebra,
     evolve_op,
     fragment_decomposition,
@@ -51,7 +50,9 @@ from wallkit.walls import (
     synth_wall,
 )
 from conftest import (
+    brickwork_unitary,
     decomposed_gauged_sequence,
+    dense_scan_records,
     lifted_compress,
     superoperator_commutant,
     swap_edges,
@@ -823,27 +824,55 @@ class TestScan:
     @pytest.mark.parametrize("max_width", (1, 2, 3))
     @pytest.mark.parametrize("n", (5, 6, 7))
     def test_cut_scan_matches_per_window_checks(self, n, max_width, monkeypatch):
-        # one operator-Schmidt SVD per bond serves both checks of every window
-        cuts = []
-        cut_frames = dynamics._cut_frames
+        # each window is checked on its light cone: at most w + 4 sites
+        calls = []
+        check = dynamics.verify_wall
         monkeypatch.setattr(
-            dynamics, "_cut_frames", lambda *args: cuts.append(args[1]) or cut_frames(*args)
+            dynamics, "verify_wall", lambda U, lay: calls.append(lay) or check(U, lay)
         )
         dims = (2,) * n
         for case, even, odd in _scan_cases(n):
-            U = brickwork_unitary(dims, even, odd)
-            expected = []
-            for width in range(1, min(max_width, n - 2) + 1):
-                for start in range(1, n - width):
-                    layout = SystemLayout.chain(dims, start, width)
-                    rep = dynamics._verify_wall(U, layout)
-                    expected.append((start, width, rep.left, rep.right))
-            cuts.clear()
+            expected = dense_scan_records(dims, even, odd, max_width)
+            calls.clear()
             records = scan_chain(dims, even, odd, max_width=max_width).records
             assert [(r.start, r.width, r.left, r.right) for r in records] == expected, case
-            assert cuts == [2**c for c in range(1, n)], case
+            assert len(calls) == len(records), case
+            assert all(lay.dim <= 2 ** (len(lay.center) + 4) for lay in calls), case
             if case == "identity":
                 assert all(left and right for _, _, left, right in expected)
+
+    @pytest.mark.parametrize(
+        "dims, max_width", [((2, 3, 2, 3, 2), 2), ((3, 2, 2, 3, 2), 3), ((2, 3, 2, 3, 2, 3), 2)]
+    )
+    def test_mixed_site_dims_match_dense_checks(self, dims, max_width):
+        n = len(dims)
+        g = SeededRng(38, n).generator()
+        pairs = [(2 * k, 2 * k + 1) for k in range(n // 2)] + [
+            (2 * k + 1, 2 * k + 2) for k in range((n - 1) // 2)
+        ]
+        haar = [haar_unitary(dims[a] * dims[b], g) for a, b in pairs]
+        # a conditional gate pair around site 1 is a wall there, whatever
+        # the rest of the chain does
+        walled = list(haar)
+        left, right = ([haar_unitary(dims[k], g) for _ in range(dims[1])] for k in (0, 2))
+        walled[0] = conditional_unitary(np.eye(dims[1]), left)
+        walled[n // 2] = conditional_unitary(np.eye(dims[1]), right, control_first=True)
+        identity = [np.eye(dims[a] * dims[b]) for a, b in pairs]
+        for name, gates in (("haar", haar), ("walled", walled), ("identity", identity)):
+            even, odd = gates[: n // 2], gates[n // 2 :]
+            expected = dense_scan_records(dims, even, odd, max_width)
+            records = scan_chain(dims, even, odd, max_width=max_width).records
+            assert [(r.start, r.width, r.left, r.right) for r in records] == expected, name
+            if name == "walled":
+                assert (1, 1, True, True) in expected
+
+    @pytest.mark.parametrize("n", (6, 7, 9))
+    def test_nonunitary_last_odd_gate_rejected(self, n):
+        # the last odd gate lies only in the light cones of the last windows
+        even, odd = _scan_gates(n, SeededRng(39, n))
+        odd[-1] = np.ones((4, 4))
+        with pytest.raises(ValueError, match="not unitary"):
+            scan_chain((2,) * n, even, odd, max_width=1)
 
     def test_brickwork_local_gates_match_embedded_products(self):
         dims = (2, 3, 2, 3, 2)
@@ -858,9 +887,9 @@ class TestScan:
 
     def test_brickwork_rejects_misplaced_gates(self):
         with pytest.raises(ValueError, match="shape"):
-            brickwork_unitary((2, 2, 2), [np.eye(2)], [])
+            scan_chain((2, 2, 2), [np.eye(2)], [])
         with pytest.raises(ValueError, match="outside"):
-            brickwork_unitary((2, 2, 2), [np.eye(4)], [np.eye(4), np.eye(4)])
+            scan_chain((2, 2, 2), [np.eye(4)], [np.eye(4), np.eye(4)])
 
     def test_brickwork_order(self):
         # odd layer applied after even layer
