@@ -14,6 +14,7 @@ from .linalg import (
     GRAM_TOL,
     RANK_TOL,
     SPAN_EQUAL_TOL,
+    WORD_TOL,
     ZERO_TOL,
     hs_norm,
     nullspace,
@@ -59,16 +60,16 @@ class MatrixAlgebra:
         }
 
 
-def _pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All products a_i b_j, stacked."""
-    prods = np.einsum("iab,jbc->ijac", a, b)
-    return prods.reshape(-1, a.shape[1], a.shape[2])
-
-
 def close_algebra(generators, layout: SystemLayout) -> MatrixAlgebra:
     """Smallest unital, adjoint- and product-closed span containing the
     generators, a list of (d, d) matrices or a stacked (k, d, d) array.  No
     generators give <1>.
+
+    Closure by words in the seed {1} u G u G^dag: each pass multiplies the
+    newest orthonormal directions by the seed's orthonormal basis, normalises
+    each word and takes out its part in the basis by two Gram-Schmidt passes.
+    Residuals above ``WORD_TOL`` of the word's norm add their singular
+    directions above ``WORD_TOL``; a pass that adds none ends the closure.
     """
     d = layout.dim
     try:
@@ -79,15 +80,21 @@ def close_algebra(generators, layout: SystemLayout) -> MatrixAlgebra:
         gens = gens.reshape(0, d, d)
     if gens.ndim != 3 or gens.shape[1:] != (d, d):
         raise ValueError("generator dimensions do not match layout")
-    seed = np.concatenate([np.eye(d, dtype=complex)[None], gens, gens.conj().transpose(0, 2, 1)])
-    basis = orthonormal_basis(seed)
-    for _ in range(d * d + 1):
-        prods = _pairwise_products(basis, basis)
-        new = orthonormal_basis(np.concatenate([basis, prods]))
-        if len(new) == len(basis):
-            return MatrixAlgebra(new, layout, generators=gens if len(gens) else None)
-        basis = new
-    raise RuntimeError("algebra closure failed to stabilize (numerical drift)")
+    seed = orthonormal_basis([np.eye(d), *gens, *gens.conj().transpose(0, 2, 1)])
+    basis = new = seed.reshape(len(seed), d * d)
+    while len(new):
+        words = (new.reshape(-1, 1, d, d) @ seed).reshape(-1, d * d)
+        norms = np.linalg.norm(words, axis=1)
+        words = words[norms > ZERO_TOL] / norms[norms > ZERO_TOL, None]
+        basis_h = basis.conj().T
+        for _ in range(2):
+            words -= (words @ basis_h) @ basis
+        new = words[np.linalg.norm(words, axis=1) > WORD_TOL]
+        if len(new):
+            _, s, vh = np.linalg.svd(new, full_matrices=False)
+            new = vh[: int(np.sum(s > WORD_TOL))]
+            basis = np.concatenate([basis, new])
+    return MatrixAlgebra(basis.reshape(-1, d, d), layout, generators=gens if len(gens) else None)
 
 
 # seed of the block frame a commutant is read from: fixed, so that every

@@ -58,15 +58,12 @@ class BlockStructure:
 
 def _minimal_central_projectors(alg: MatrixAlgebra, rng) -> list[np.ndarray]:
     center = relative_commutant(alg.basis, alg.basis)
-    d = alg.layout.dim
-    for _ in range(5):
-        h = random_hermitian_in_span(center, rng)
-        w, v = np.linalg.eigh(h)
-        groups = cluster_eigenvalues(w, CENTRAL_CLUSTER_TOL)
-        if len(groups) == len(center):
-            # one projector per central dimension: guaranteed minimal
-            return [v[:, idx] @ dagger(v[:, idx]) for idx in groups]
-    raise RuntimeError("could not separate central eigenvalues after 5 resamples")
+    w, v = np.linalg.eigh(random_hermitian_in_span(center, rng))
+    groups = cluster_eigenvalues(w, CENTRAL_CLUSTER_TOL)
+    if len(groups) != len(center):
+        raise RuntimeError(f"{len(groups)} central clusters for a {len(center)}-dimensional center")
+    # one projector per central dimension: guaranteed minimal
+    return [v[:, idx] @ dagger(v[:, idx]) for idx in groups]
 
 
 def _compress(basis: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -83,44 +80,39 @@ def _block_product_frame(a_basis: np.ndarray, rng) -> tuple[int, int, np.ndarray
     """
     m = a_basis.shape[1]
     k = len(a_basis)
-    for _ in range(5):
-        h = random_hermitian_in_span(a_basis, rng)
-        w, v = np.linalg.eigh(h)
-        groups = cluster_eigenvalues(w, FRAME_CLUSTER_TOL)
-        sizes = {len(g) for g in groups}
-        if len(sizes) != 1:
-            continue
-        dE = sizes.pop()
-        dD = len(groups)
-        if dD * dE != m or dD * dD != k:
-            continue
-        # seed the E factor with the first eigenspace W: columns |d_0> (x) |e_l>
-        W = v[:, groups[0]]  # (m, dE)
-        w0 = W[:, 0]
-        # the algebra orbit of w0 spans D (x) |e_0>
-        orbit = np.einsum("kab,b->ka", a_basis, w0)
-        rest = orbit - (orbit @ w0.conj())[:, None] * w0[None, :]
-        _, s, vh = np.linalg.svd(rest, full_matrices=False)
-        r = int(np.sum(s > ORBIT_RANK_TOL * max(s[0], 1.0))) if s.size else 0
-        if r != dD - 1:
-            continue
-        cols = np.column_stack([w0, vh[:r].T])  # (m, dD), first column is w0
-        # transfer elements t_r with t_r w0 = |d_r> (x) |e_0>
-        B = np.einsum("kab,b->ak", a_basis, w0)  # columns b_k w0
-        coeff, *_ = np.linalg.lstsq(B, cols, rcond=None)
-        t = np.tensordot(coeff.T, a_basis, axes=(1, 0))  # (dD, m, m)
-        # columns |d_r> (x) |e_l> = t_r W[:, l]; D index major, E minor
-        V = np.einsum("rab,bl->arl", t, W).reshape(m, dD * dE)
-        V[:, :dE] = W  # t_0 fixes w0, hence acts as identity on D-seed
-        # polar cleanup, then verify orthonormality survived
-        u, s, vh = np.linalg.svd(V, full_matrices=False)
-        if s.min() < 0.5:
-            continue
-        Vp = u @ vh
-        if np.max(np.abs(Vp - V)) > POLAR_TOL:
-            continue
-        return dD, dE, Vp
-    raise RuntimeError("could not build a product frame after 5 resamples")
+    w, v = np.linalg.eigh(random_hermitian_in_span(a_basis, rng))
+    groups = cluster_eigenvalues(w, FRAME_CLUSTER_TOL)
+    dD, dE = len(groups), len(groups[0])
+    if any(len(g) != dE for g in groups) or dD * dE != m or dD * dD != k:
+        raise RuntimeError(
+            f"block frame: clusters of sizes {[len(g) for g in groups]} for a "
+            f"{k}-dimensional factor on dimension {m}"
+        )
+    # seed the E factor with the first eigenspace W: columns |d_0> (x) |e_l>
+    W = v[:, groups[0]]  # (m, dE)
+    w0 = W[:, 0]
+    # the algebra orbit of w0 spans D (x) |e_0>
+    orbit = np.einsum("kab,b->ka", a_basis, w0)
+    rest = orbit - (orbit @ w0.conj())[:, None] * w0[None, :]
+    _, s, vh = np.linalg.svd(rest, full_matrices=False)
+    r = int(np.sum(s > ORBIT_RANK_TOL * max(s[0], 1.0))) if s.size else 0
+    if r != dD - 1:
+        raise RuntimeError(f"block frame: orbit rank {r} for {dD} clusters")
+    cols = np.column_stack([w0, vh[:r].T])  # (m, dD), first column is w0
+    # transfer elements t_r with t_r w0 = |d_r> (x) |e_0>
+    B = np.einsum("kab,b->ak", a_basis, w0)  # columns b_k w0
+    coeff, *_ = np.linalg.lstsq(B, cols, rcond=None)
+    t = np.tensordot(coeff.T, a_basis, axes=(1, 0))  # (dD, m, m)
+    # columns |d_r> (x) |e_l> = t_r W[:, l]; D index major, E minor
+    V = np.einsum("rab,bl->arl", t, W).reshape(m, dD * dE)
+    V[:, :dE] = W  # t_0 fixes w0, hence acts as identity on D-seed
+    # polar cleanup, then verify orthonormality survived
+    u, s, vh = np.linalg.svd(V, full_matrices=False)
+    Vp = u @ vh
+    moved = np.max(np.abs(Vp - V))
+    if s.min() < 0.5 or moved > POLAR_TOL:
+        raise RuntimeError(f"block frame: min s {s.min():.2e}, polar cleanup moved {moved:.2e}")
+    return dD, dE, Vp
 
 
 def decompose(alg: MatrixAlgebra, rng) -> BlockStructure:

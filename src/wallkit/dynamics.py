@@ -175,7 +175,7 @@ def _compress_to_center(X: np.ndarray, d_C: int, d_out: int):
     HS."""
     n = len(X)
     T = X.reshape(n, d_C, d_out, d_C, d_out)
-    core = np.trace(T, axis1=2, axis2=4) / d_out
+    core = np.einsum("icoko->ick", T) / d_out
     norms = np.linalg.norm(T.reshape(n, -1), axis=1)
     np.einsum("icoko->icko", T)[...] -= core[..., None]
     resid = np.linalg.norm(T.reshape(n, -1), axis=1)

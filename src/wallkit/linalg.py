@@ -23,6 +23,7 @@ from .layout import SystemLayout, as_generator
 RANK_TOL = 1e-9  # orthonormal_basis: span rank, s > RANK_TOL * s_max
 KERNEL_TOL = 1e-9  # nullspace: kernel, s <= KERNEL_TOL * max(s_max, 1)
 ZERO_TOL = 1e-10  # an operator or sandwich of smaller HS norm is zero
+WORD_TOL = 1e-9  # close_algebra: a word's residual off the span, relative to its norm; s > WORD_TOL
 GRAM_TOL = 1e-9  # relative_commutant: Gram w <= GRAM_TOL * max(w_max, 1) commute
 SPAN_EQUAL_TOL = 1e-8  # equals: relative residual of each basis element off the other span
 FACTOR_MEMBER_TOL = 1e-8  # extract_central_factor: relative residual of a unit of M_L off the span

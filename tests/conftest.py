@@ -6,7 +6,8 @@ the carried frame, and the (L, C, R) -> (R, C, L) edge swap, an oracle for
 the right-edge frames that the wall checks read off the cut after C, the
 lift-and-subtract compression, an oracle for the bytes of the in-place one
 the closure uses, and the dense brickwork unitary of a whole chain with its
-per-window wall checks, an oracle for the chain scanner's light cones."""
+per-window wall checks, an oracle for the chain scanner's light cones, and
+the pairwise-squaring closure, an oracle for the closure by words."""
 
 from math import prod
 
@@ -19,6 +20,23 @@ from wallkit.layout import SystemLayout, as_generator
 from wallkit.linalg import dagger, nullspace, orthonormal_basis
 
 CRITERION_LINES: list[str] = []
+
+
+def pairwise_closure(generators, layout):
+    """Oracle: the span of {1} u G u G^dag, grown by multiplying every pair of
+    basis elements and re-orthonormalising the whole stack by SVD each round
+    until the rank stops growing."""
+    d = layout.dim
+    gens = np.asarray(generators, dtype=complex).reshape(-1, d, d)
+    seed = np.concatenate([np.eye(d, dtype=complex)[None], gens, gens.conj().transpose(0, 2, 1)])
+    basis = orthonormal_basis(seed)
+    for _ in range(d * d + 1):
+        prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(-1, d, d)
+        new = orthonormal_basis(np.concatenate([basis, prods]))
+        if len(new) == len(basis):
+            return MatrixAlgebra(new, layout)
+        basis = new
+    raise RuntimeError("algebra closure failed to stabilize (numerical drift)")
 
 
 def superoperator_commutant(stack, layout):

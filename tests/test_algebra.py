@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import wallkit
 import wallkit.algebra as algebra
+import wallkit.dynamics as dynamics
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import kron, orthonormal_basis
 from wallkit.algebra import (
@@ -21,8 +22,15 @@ from wallkit.algebra import (
     extract_central_factor,
     intersect,
 )
-from wallkit.walls import PAULI, pauli_string
-from conftest import superoperator_commutant
+from wallkit.walls import (
+    PAULI,
+    PRESET_NAMES,
+    pauli_string,
+    preset_algebra,
+    preset_wall,
+    resolve_central_algebra,
+)
+from conftest import pairwise_closure, superoperator_commutant
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L1 = SystemLayout((2,))
@@ -139,6 +147,65 @@ class TestClosure:
         a1 = close_algebra(gens, L2)
         a2 = close_algebra(a1.basis, L2)
         assert equals(a1, a2)
+
+
+# the generator strings of tools/artifact_sweep.py
+SWEEP_GENERATORS = ("Z", "ZZ", "XI,ZX", "ZI,IZ", "XX,ZZ", "ZII,IXI")
+
+
+class TestClosureByWords:
+    @pytest.mark.parametrize("d_C", range(2, 49))
+    def test_diag_is_commutative_of_dimension_d_C(self, d_C):
+        alg = resolve_central_algebra("diag", SystemLayout((d_C,)))
+        assert alg.dim == d_C
+        b = alg.basis
+        comm = b[:, None] @ b[None] - b[None] @ b[:, None]
+        assert np.max(np.linalg.norm(comm, axis=(2, 3))) < 1e-8
+        flat = b.reshape(alg.dim, -1)
+        assert np.linalg.norm(flat @ flat.conj().T - np.eye(alg.dim)) < 1e-12
+
+    def test_shift_and_clock_m16_without_pairwise_stack(self):
+        # the pairwise round of the 256-dimensional basis alone is a
+        # (65792, 256) complex stack, 269 MB
+        tracemalloc.start()
+        try:
+            alg = resolve_central_algebra("full", SystemLayout((16,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alg.dim == 256 and peak < 64 * 2**20
+        flat = alg.basis.reshape(alg.dim, -1)
+        assert np.linalg.norm(flat @ flat.conj().T - np.eye(alg.dim)) < 1e-12
+
+    @pytest.mark.parametrize("k", range(30))
+    def test_random_sets_match_pairwise_oracle(self, k):
+        gens, dims = _random_generator_set(k)
+        lay = SystemLayout(dims)
+        assert equals(close_algebra(gens, lay), pairwise_closure(gens, lay))
+
+    @pytest.mark.parametrize("names", SWEEP_GENERATORS)
+    def test_sweep_generators_match_pairwise_oracle(self, names):
+        gens = [pauli_string(s) for s in names.split(",")]
+        lay = SystemLayout((2,) * len(names.split(",")[0]))
+        assert equals(close_algebra(gens, lay), pairwise_closure(gens, lay))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_central_algebras_match_pairwise_oracle(self, name):
+        _, alg = preset_algebra(name)
+        assert equals(alg, pairwise_closure(alg.generators, alg.layout))
+
+    def test_wall_check_round_seeds_match_pairwise_oracle(self, monkeypatch):
+        # every closure of the presets' wall checks: the cores of a round
+        seeds = []
+        monkeypatch.setattr(
+            dynamics, "close_algebra", lambda g, lay: seeds.append((g, lay)) or close_algebra(g, lay)
+        )
+        for name in PRESET_NAMES:
+            wall = preset_wall(name, seed=0)
+            dynamics.verify_wall(wall.U, wall.layout)
+        assert len(seeds) >= len(PRESET_NAMES)
+        for stack, layout in seeds:
+            assert equals(close_algebra(stack, layout), pairwise_closure(stack, layout))
 
 
 class TestCommutant:

@@ -4,6 +4,7 @@ block-diagonalizing frame, and reconstruction."""
 import numpy as np
 import pytest
 
+import wallkit.blocks as blocks
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import dagger, haar_unitary
 from wallkit.algebra import MatrixAlgebra, close_algebra, commutant, equals
@@ -123,3 +124,33 @@ class TestReconstruct:
         rotated = MatrixAlgebra(np.einsum("ab,kbc,dc->kad", W, base.basis, W.conj()), base.layout)
         bs = decompose(rotated, RNG.stream(16))
         assert equals(rotated, reconstruct(bs))
+
+
+class TestOneDraw:
+    """``decompose`` draws once: a degenerate draw raises, naming the check
+    and what it measured, with no resample."""
+
+    def _degenerate_draw(self, monkeypatch, call):
+        # the ``call``-th draw is a multiple of the identity, the others are
+        # the real draws
+        real, calls = blocks.random_hermitian_in_span, []
+
+        def draw(basis, rng):
+            calls.append(1)
+            h = real(basis, rng)
+            return np.eye(len(h), dtype=complex) if len(calls) == call else h
+
+        monkeypatch.setattr(blocks, "random_hermitian_in_span", draw)
+
+    def test_degenerate_central_draw_raises(self, monkeypatch):
+        alg = close_algebra([np.diag([0.0, 0, 1, 1])], SystemLayout((4,)))
+        self._degenerate_draw(monkeypatch, 1)
+        with pytest.raises(RuntimeError, match="1 central clusters for a 2-dimensional center"):
+            decompose(alg, RNG.stream(17))
+
+    def test_degenerate_frame_draw_raises(self, monkeypatch):
+        alg = close_algebra([pauli_string("XI"), pauli_string("ZX")], SystemLayout((2, 2)))
+        self._degenerate_draw(monkeypatch, 2)
+        match = r"block frame: clusters of sizes \[4\] for a 4-dimensional factor"
+        with pytest.raises(RuntimeError, match=match):
+            decompose(alg, RNG.stream(18))
