@@ -68,8 +68,9 @@ def close_algebra(generators, layout: SystemLayout) -> MatrixAlgebra:
     Closure by words in the seed {1} u G u G^dag: each pass multiplies the
     newest orthonormal directions by the seed's orthonormal basis, normalises
     each word and takes out its part in the basis by two Gram-Schmidt passes.
-    Residuals above ``WORD_TOL`` of the word's norm add their singular
-    directions above ``WORD_TOL``; a pass that adds none ends the closure.
+    A word whose residual exceeds ``WORD_TOL`` (its factors have HS norm 1)
+    adds the singular directions of its normalised residual above
+    ``WORD_TOL``; a pass that adds none ends the closure.
     """
     d = layout.dim
     try:
@@ -85,11 +86,14 @@ def close_algebra(generators, layout: SystemLayout) -> MatrixAlgebra:
     while len(new):
         words = (new.reshape(-1, 1, d, d) @ seed).reshape(-1, d * d)
         norms = np.linalg.norm(words, axis=1)
-        words = words[norms > ZERO_TOL] / norms[norms > ZERO_TOL, None]
+        live = norms > ZERO_TOL
+        words, norms = words[live] / norms[live, None], norms[live]
         basis_h = basis.conj().T
         for _ in range(2):
             words -= (words @ basis_h) @ basis
-        new = words[np.linalg.norm(words, axis=1) > WORD_TOL]
+        # the residual of the word itself, against its unit-norm factors:
+        # relative to a small word's own norm, rounding would read as growth
+        new = words[np.linalg.norm(words, axis=1) * norms > WORD_TOL]
         if len(new):
             _, s, vh = np.linalg.svd(new, full_matrices=False)
             new = vh[: int(np.sum(s > WORD_TOL))]

@@ -35,8 +35,8 @@ from . import dynamics, observables
 
 # arealaw checks at most this many random product states, whatever --samples says
 AREALAW_MAX_STATES = 20
-# scan checks each window on its light cone of at most this many qubits (d = 1024)
-SCAN_MAX_CONE_SITES = 10
+# scan checks each window on its cone of at most this many qubits (d = 256)
+SCAN_MAX_CONE_SITES = 8
 
 
 class UsageError(Exception):
@@ -430,9 +430,9 @@ def _cmd_fragments(cfg):
 
 def _cmd_scan(cfg):
     n = cfg.chain_sites
-    cone = min(n, min(cfg.max_width, n - 2) + 4)  # sites of the widest window's light cone
+    cone = min(cfg.max_width, n - 2) + 2  # sites of the widest window's cone
     if cone > SCAN_MAX_CONE_SITES:
-        raise UsageError(f"--max-width gives light cones of {cone} sites, over {SCAN_MAX_CONE_SITES}")
+        raise UsageError(f"--max-width gives cones of {cone} sites, over {SCAN_MAX_CONE_SITES}")
     g = SeededRng(cfg.seed, 21).generator()
     even = [haar_unitary(4, g) for _ in range((n) // 2)]
     odd = [haar_unitary(4, g) for _ in range((n - 1) // 2)]

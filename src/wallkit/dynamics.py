@@ -555,16 +555,17 @@ def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2) -> ScanRepo
     Even gates act on sites (0,1),(2,3),... first, odd gates on
     (1,2),(3,4),... second.
 
-    Window [s, s + w) is checked by ``verify_wall`` on its light cone, the
-    sites [lo, hi) = [max(0, s - 2), min(n, s + w + 2)), with the product of
-    the gates that lie wholly inside them.  The left check depends only on
-    sites s - 1 ... s + w + 1 and the right check only on s - 2 ... s + w:
-    gates that lie wholly in L (for the left check) or in R (for the right
-    one) leave the span of the edge blocks unchanged, and gates more than
-    one site per layer beyond C cancel in every sandwich.  So each check has
-    at most w + 4 sites, whatever n is.  Every gate lies in the light cone
-    of a width-1 window, whose ``verify_wall`` checks that its product is
-    unitary."""
+    Window [s, s + w) is checked by one ``verify_wall`` on the tripartite
+    layout of its w + 2 sites s - 1 (L), s ... s + w - 1 (C) and s + w (R),
+    with the product of the gates wholly inside them; it decides as the
+    check on the whole chain does.  Each layer's gates commute, so a gate
+    wholly in L or wholly in R is a left factor of U (odd layer) or a right
+    one (even layer).  On its own edge it mixes the edge blocks and keeps
+    their span; on the other edge it conjugates every sandwich by an edge
+    unitary (left factor) or cancels around a x 1 (right factor), so neither
+    moves a core or an escape residual, and what is left acts as the
+    identity outside the cone.  Every gate lies in the cone of a width-1
+    window, whose ``verify_wall`` checks that its product is unitary."""
     site_dims = tuple(int(d) for d in site_dims)
     n = len(site_dims)
     layers = [(2 * k, g) for k, g in enumerate(even_gates)]
@@ -581,12 +582,12 @@ def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2) -> ScanRepo
     records = []
     for w in range(1, min(max_width, n - 2) + 1):  # wider windows leave L or R empty
         for s in range(1, n - w):
-            lo, hi = max(0, s - 2), min(n, s + w + 2)
-            d = prod(site_dims[lo:hi])
+            d = prod(site_dims[s - 1 : s + w + 1])
             U = np.eye(d, dtype=complex)
             for k, g in gates:  # each gate on the two row axes of its sites
-                if lo <= k and k + 2 <= hi:
-                    U = (g @ U.reshape(prod(site_dims[lo:k]), len(g), -1)).reshape(d, d)
-            rep = verify_wall(U, SystemLayout.chain(site_dims[lo:hi], s - lo, w))
+                if s - 1 <= k < s + w:
+                    U = (g @ U.reshape(prod(site_dims[s - 1 : k]), len(g), -1)).reshape(d, d)
+            layout = SystemLayout.tripartite(site_dims[s - 1], site_dims[s : s + w], site_dims[s + w])
+            rep = verify_wall(U, layout)
             records.append(ScanRecord(s, w, rep.left, rep.right))
     return ScanReport(records)

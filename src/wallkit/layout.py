@@ -44,16 +44,6 @@ class SystemLayout:
         n = len(dims)
         return cls(dims, (0,), tuple(range(1, n - 1)), (n - 1,))
 
-    @classmethod
-    def chain(cls, site_dims, center_start, center_width) -> "SystemLayout":
-        """Chain layout with a central window and flanking L, R segments."""
-        site_dims = tuple(int(d) for d in site_dims)
-        n = len(site_dims)
-        c = tuple(range(center_start, center_start + center_width))
-        if not c or c[0] < 1 or c[-1] > n - 2:
-            raise ValueError("central window must leave non-empty L and R")
-        return cls(site_dims, tuple(range(c[0])), c, tuple(range(c[-1] + 1, n)))
-
     @property
     def n_sites(self) -> int:
         return len(self.site_dims)

@@ -23,7 +23,7 @@ from .layout import SystemLayout, as_generator
 RANK_TOL = 1e-9  # orthonormal_basis: span rank, s > RANK_TOL * s_max
 KERNEL_TOL = 1e-9  # nullspace: kernel, s <= KERNEL_TOL * max(s_max, 1)
 ZERO_TOL = 1e-10  # an operator or sandwich of smaller HS norm is zero
-WORD_TOL = 1e-9  # close_algebra: a word's residual off the span, relative to its norm; s > WORD_TOL
+WORD_TOL = 1e-9  # close_algebra: a word's residual off the span (its factors have HS norm 1); s > WORD_TOL
 GRAM_TOL = 1e-9  # relative_commutant: Gram w <= GRAM_TOL * max(w_max, 1) commute
 SPAN_EQUAL_TOL = 1e-8  # equals: relative residual of each basis element off the other span
 FACTOR_MEMBER_TOL = 1e-8  # extract_central_factor: relative residual of a unit of M_L off the span
@@ -33,7 +33,7 @@ FRAME_CLUSTER_TOL = 1e-7  # decompose: relative gap between w of two D indices o
 ORBIT_RANK_TOL = 1e-9  # decompose: orbit rank of a block, s > ORBIT_RANK_TOL * max(s_max, 1)
 POLAR_TOL = 1e-6  # decompose: largest entry moved by a block frame's polar cleanup
 VERIFY_TOL = 1e-8  # decompose, gauged_sequence: largest entry residual off the block form
-# scan_chain decides through verify_wall, on each window's light-cone unitary
+# scan_chain decides through verify_wall, on each window's (w + 2)-site cone
 UNITARY_TOL = 1e-8  # verify_wall: HS norm of U U^dag - 1
 EDGE_RANK_TOL = 1e-9  # verify_wall: edge-frame rank, s > EDGE_RANK_TOL * s_max
 ESCAPE_TOL = 1e-9  # verify_wall: relative escape residual of a closure sandwich

@@ -101,6 +101,13 @@ def brickwork_unitary(site_dims, even_gates, odd_gates):
     return U
 
 
+def window_layout(site_dims, start, width):
+    """The whole chain as L = [0, start), C = [start, start + width) and R the
+    rest, with the edge sites merged into one site each."""
+    center = site_dims[start : start + width]
+    return SystemLayout.tripartite(prod(site_dims[:start]), center, prod(site_dims[start + width :]))
+
+
 def dense_scan_records(site_dims, even_gates, odd_gates, max_width):
     """Oracle: (start, width, left, right) of every window that ``scan_chain``
     checks, each from ``verify_wall`` on the dense unitary of the whole chain."""
@@ -109,7 +116,7 @@ def dense_scan_records(site_dims, even_gates, odd_gates, max_width):
     records = []
     for width in range(1, min(max_width, n - 2) + 1):
         for start in range(1, n - width):
-            rep = verify_wall(U, SystemLayout.chain(site_dims, start, width))
+            rep = verify_wall(U, window_layout(site_dims, start, width))
             records.append((start, width, rep.left, rep.right))
     return records
 

@@ -11,7 +11,7 @@ import wallkit
 import wallkit.algebra as algebra
 import wallkit.dynamics as dynamics
 from wallkit.layout import SeededRng, SystemLayout
-from wallkit.linalg import kron, orthonormal_basis
+from wallkit.linalg import haar_unitary, kron, orthonormal_basis
 from wallkit.algebra import (
     MatrixAlgebra,
     center,
@@ -193,6 +193,23 @@ class TestClosureByWords:
     def test_preset_central_algebras_match_pairwise_oracle(self, name):
         _, alg = preset_algebra(name)
         assert equals(alg, pairwise_closure(alg.generators, alg.layout))
+
+    @pytest.mark.parametrize("eps, seed", [(3e-10, 0), (3e-10, 1), (1e-9, 0)])
+    def test_rounding_off_a_block_algebra_does_not_grow_it(self, eps, seed):
+        # the matrix units of M_8 + M_8, each moved eps off the blocks in HS
+        # norm, mixed by one Haar unitary: words are off the span by rounding
+        # of order eps, which a small word's own norm would amplify into
+        # new directions (all of M_16 at eps = 1e-9)
+        g = SeededRng(seed).generator()
+        units = np.zeros((128, 16, 16), dtype=complex)
+        for k, (i, j) in enumerate((i, j) for off in (0, 8) for i in range(off, off + 8)
+                                   for j in range(off, off + 8)):
+            units[k, i, j] = 1
+        off_block = np.kron(1 - np.eye(2), np.ones((8, 8)))
+        noise = (g.standard_normal(units.shape) + 1j * g.standard_normal(units.shape)) * off_block
+        noise *= eps / np.linalg.norm(noise, axis=(1, 2))[:, None, None]
+        V = haar_unitary(16, g)
+        assert close_algebra(V @ (units + noise) @ V.conj().T, SystemLayout((16,))).dim == 128
 
     def test_wall_check_round_seeds_match_pairwise_oracle(self, monkeypatch):
         # every closure of the presets' wall checks: the cores of a round

@@ -478,7 +478,9 @@ INVALID_CALLS = [
     "verify --algebra haar --dims 2,2",
     "scan --chain-sites 4 --max-width 0",
     "scan --chain-sites 101",
-    "scan --chain-sites 40 --max-width 7",  # light cones of 11 sites
+    "scan --chain-sites 40 --max-width 7",  # cones of 9 sites
+    "scan --chain-sites 9 --max-width 7",
+    "scan --chain-sites 10 --max-width 8",
     "close --generators XI --out /nonexistent/x.json",  # an --out that cannot be opened
     # a one-dimensional L leaves only the scalar A_C invariant
     "verify --dims 1,2,1",
@@ -846,6 +848,13 @@ class TestScanWidthCap:
     def test_forty_site_chain_finds_the_embedded_wall(self, capsys):
         p = _summary(capsys, ["scan", "--chain-sites", "40", "--embed-at", "21"])
         assert p["data"]["minimal_windows"] == [[21, 1]]
+
+    def test_width_four_window_around_the_wall_is_found(self, capsys):
+        # every window around site 3 is a wall; a closure that counted
+        # rounding in small words as growth rejected (3, 4) on this chain
+        argv = "scan --chain-sites 8 --max-width 4 --embed-at 3 --seed 3".split()
+        detections = _summary(capsys, argv)["data"]["detections"]
+        assert detections == [[s, w] for w in range(1, 5) for s in range(max(1, 4 - w), 4)]
 
 
 class TestArealawOneCall:

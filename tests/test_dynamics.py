@@ -56,6 +56,7 @@ from conftest import (
     lifted_compress,
     superoperator_commutant,
     swap_edges,
+    window_layout,
 )
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
@@ -328,7 +329,7 @@ class TestClosureProbe:
             expected = []
             for width in (1, 2):
                 for start in range(1, n - width):
-                    rep = _assert_matches_oracle(U, SystemLayout.chain((2,) * n, start, width))
+                    rep = _assert_matches_oracle(U, window_layout((2,) * n, start, width))
                     assert rep.is_wall == (chain == 0 and start <= 3 < start + width)
                     expected.append((start, width, rep.left, rep.right))
             records = scan_chain((2,) * n, even, odd).records
@@ -787,6 +788,22 @@ def _scan_cases(n):
     return cases + [("identity", [np.eye(4)] * (n // 2), [np.eye(4)] * ((n - 1) // 2))]
 
 
+@pytest.fixture
+def wall_layouts(monkeypatch):
+    """The layout of every ``verify_wall`` call that ``scan_chain`` makes."""
+    calls = []
+    check = dynamics.verify_wall
+    monkeypatch.setattr(dynamics, "verify_wall", lambda U, lay: calls.append(lay) or check(U, lay))
+    return calls
+
+
+def _assert_cones(layouts, records, dims):
+    """Window [s, s + w) was checked on sites s - 1 (L), s ... s + w - 1 (C)
+    and s + w (R) alone."""
+    assert [lay.site_dims for lay in layouts] == [dims[r.start - 1 : r.start + r.width + 1] for r in records]
+    assert all(len(lay.left) == len(lay.right) == 1 for lay in layouts)
+
+
 class TestScan:
     def test_embedded_wall_found(self):
         n, s = 8, 3
@@ -823,28 +840,33 @@ class TestScan:
 
     @pytest.mark.parametrize("max_width", (1, 2, 3))
     @pytest.mark.parametrize("n", (5, 6, 7))
-    def test_cut_scan_matches_per_window_checks(self, n, max_width, monkeypatch):
-        # each window is checked on its light cone: at most w + 4 sites
-        calls = []
-        check = dynamics.verify_wall
-        monkeypatch.setattr(
-            dynamics, "verify_wall", lambda U, lay: calls.append(lay) or check(U, lay)
-        )
+    def test_cut_scan_matches_per_window_checks(self, n, max_width, wall_layouts):
         dims = (2,) * n
         for case, even, odd in _scan_cases(n):
             expected = dense_scan_records(dims, even, odd, max_width)
-            calls.clear()
+            wall_layouts.clear()
             records = scan_chain(dims, even, odd, max_width=max_width).records
             assert [(r.start, r.width, r.left, r.right) for r in records] == expected, case
-            assert len(calls) == len(records), case
-            assert all(lay.dim <= 2 ** (len(lay.center) + 4) for lay in calls), case
+            _assert_cones(wall_layouts, records, dims)
             if case == "identity":
                 assert all(left and right for _, _, left, right in expected)
+
+    @pytest.mark.parametrize("case", ("embed-None", "embed-3"))
+    def test_width_four_cones_match_dense_checks(self, case, wall_layouts):
+        # a walled width-4 window takes about 1.2 s on the dense 7-site chain
+        dims = (2,) * 7
+        even, odd = next((e, o) for c, e, o in _scan_cases(7) if c == case)
+        expected = dense_scan_records(dims, even, odd, 4)
+        records = scan_chain(dims, even, odd, max_width=4).records
+        assert [(r.start, r.width, r.left, r.right) for r in records] == expected
+        _assert_cones(wall_layouts, records, dims)
+        walls = [(s, w) for s, w, left, right in expected if w == 4 and left and right]
+        assert walls == ([(1, 4), (2, 4)] if case == "embed-3" else [])
 
     @pytest.mark.parametrize(
         "dims, max_width", [((2, 3, 2, 3, 2), 2), ((3, 2, 2, 3, 2), 3), ((2, 3, 2, 3, 2, 3), 2)]
     )
-    def test_mixed_site_dims_match_dense_checks(self, dims, max_width):
+    def test_mixed_site_dims_match_dense_checks(self, dims, max_width, wall_layouts):
         n = len(dims)
         g = SeededRng(38, n).generator()
         pairs = [(2 * k, 2 * k + 1) for k in range(n // 2)] + [
@@ -861,8 +883,10 @@ class TestScan:
         for name, gates in (("haar", haar), ("walled", walled), ("identity", identity)):
             even, odd = gates[: n // 2], gates[n // 2 :]
             expected = dense_scan_records(dims, even, odd, max_width)
+            wall_layouts.clear()
             records = scan_chain(dims, even, odd, max_width=max_width).records
             assert [(r.start, r.width, r.left, r.right) for r in records] == expected, name
+            _assert_cones(wall_layouts, records, dims)
             if name == "walled":
                 assert (1, 1, True, True) in expected
 

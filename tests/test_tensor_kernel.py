@@ -266,12 +266,6 @@ class TestSystemLayout:
         with pytest.raises(ValueError):
             SystemLayout((2, 2, 2), (0, 2), (1,), ())
 
-    def test_chain_window(self):
-        lay = SystemLayout.chain((2,) * 5, 2, 2)
-        assert lay.left == (0, 1) and lay.center == (2, 3) and lay.right == (4,)
-        with pytest.raises(ValueError):
-            SystemLayout.chain((2,) * 5, 0, 2)
-
     def test_pauli_parse_error(self):
         with pytest.raises(ValueError, match="Q"):
             pauli_string("XQ")
