@@ -4,7 +4,6 @@ conserved algebras, gauged sequences, fragmentation, and chain scanning."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import prod
 
 import numpy as np
@@ -182,42 +181,6 @@ def _compress_to_center(X: np.ndarray, d_C: int, d_out: int):
     return core, resid, norms
 
 
-# seed of the closure probes: fixed, so that every check is deterministic
-PROBE_SEED = 20100
-
-
-@cache
-def _probe_generator():
-    """(the one probe generator, PROBE_SEED's state), built on first use so
-    that importing wallkit does not load numpy.random.  Every closure resets
-    the generator to that state."""
-    g = np.random.default_rng(PROBE_SEED)
-    return g, g.bit_generator.state
-
-
-def _probe_escapes(m, m_dag, a, d_out: int, bound: float, g: np.random.Generator) -> bool:
-    """True when one random element of the next round's sandwich span proves
-    that some sandwich m_p lift(a_k) m_q^dag escapes by more than ``bound``.
-
-    The probe is P = x (s x 1) y^dag with x = sum c_p m_p,
-    y^dag = sum c'_q m_q^dag and s = sum e_k a_k; (s x 1) y^dag is one
-    product over C alone (d_bulk^2 d_C work).  The escape residual r is a
-    seminorm, so r(P) <= (sum |c_p|)(sum |c'_q|)(sum |e_k|) max r(sandwich),
-    and the probe fires only when r(P) exceeds ``bound`` times that
-    coefficient weight.
-    """
-    kB, ka, d_bulk, d_C = len(m), len(a), m.shape[1], a.shape[1]
-    w = g.standard_normal(2 * kB + ka) + 1j * g.standard_normal(2 * kB + ka)
-    c, c2, e = w[:kB], w[kB : 2 * kB], w[2 * kB :]
-    x = np.dot(c, m.reshape(kB, -1)).reshape(d_bulk, d_bulk)
-    y_dag = np.dot(c2, m_dag.reshape(kB, -1)).reshape(d_C, d_out * d_bulk)
-    s = np.dot(e, a.reshape(ka, -1)).reshape(d_C, d_C)
-    P = x @ np.dot(s, y_dag).reshape(d_bulk, d_bulk)
-    _, resid, _ = _compress_to_center(P[None], d_C, d_out)
-    weight = np.abs(c).sum() * np.abs(c2).sum() * np.abs(e).sum()
-    return bool(resid[0] > bound * weight)
-
-
 def _directional_closure(m: np.ndarray, center_dims: tuple):
     """Closure of the left-edge-seeded invariant algebra, tracked by its
     central factor.
@@ -229,18 +192,7 @@ def _directional_closure(m: np.ndarray, center_dims: tuple):
     blocks of U, rejects as soon as a sandwich X escapes (center x identity)
     by more than ``ESCAPE_TOL`` relative to ||X|| (sandwiches with ||X|| <=
     ``ZERO_TOL`` are ignored), and otherwise product-closes the compressed
-    span on C.
-
-    Each round first tests one random probe (``_probe_escapes``) and
-    rejects on it when its escape residual exceeds
-    max(ESCAPE_TOL sqrt(d_out), ZERO_TOL) times its coefficient weight.  The edge
-    blocks are HS-orthonormal, so ||m_p||_op <= 1, and every lifted basis
-    element has HS norm sqrt(d_out); so every sandwich of a round that the
-    per-element rule accepts has residual at most that bound, and a probe
-    above it implies a sandwich that the per-element rule rejects in the
-    same round.  Otherwise the round runs the per-element rule in full, so
-    decisions and round counts are those of the per-element rule alone.
-    Returns (passed, rounds, central algebra basis or None).
+    span on C.  Returns (passed, rounds, central algebra basis or None).
     """
     d_C = prod(center_dims)
     d_bulk = m.shape[1]
@@ -249,15 +201,10 @@ def _directional_closure(m: np.ndarray, center_dims: tuple):
     kB = len(m)
     c_layout = SystemLayout(center_dims)
     a = np.eye(d_C, dtype=complex)[None] / np.sqrt(d_C)
-    probe_rng, probe_state = _probe_generator()
-    probe_rng.bit_generator.state = probe_state
-    probe_bound = max(ESCAPE_TOL * np.sqrt(d_out), ZERO_TOL)
 
     # each round that does not stabilize grows S, whose dimension is <= d_C^2
     max_rounds = d_C**2 + 1
     for rounds in range(1, max_rounds + 1):
-        if _probe_escapes(m, m_dag, a, d_out, probe_bound, probe_rng):
-            return False, rounds, None
         lifted = _lift(a, d_out)
         # sandwiches m_p s m_q^dag in (p, a, q) order, in memory-bounded
         # chunks, with early exit
@@ -349,13 +296,9 @@ def verify_wall(U, layout: SystemLayout) -> WallReport:
     The left check grows the algebra generated by the Heisenberg orbit of
     M_L x 1 and succeeds iff it stays inside M_LC; the right check is its
     mirror, seeded by the right edge blocks on C x L.  A round rejects when
-    a sandwich escapes by more than ``ESCAPE_TOL`` relative to its norm; it
-    rejects on one random probe first when the probe's escape exceeds
-    max(ESCAPE_TOL sqrt(d_out), ZERO_TOL) times its coefficient weight, a
-    bound that only a rejected round can exceed (see
-    ``_directional_closure``).  The probes come from a fixed seed.  The
-    report carries the central factors A_C and B_C (on C) of each side that
-    passes.
+    a sandwich escapes by more than ``ESCAPE_TOL`` relative to its norm; the
+    check draws no random numbers.  The report carries the central factors
+    A_C and B_C (on C) of each side that passes.
     """
     U = _check_unitary(U, layout.dim)
     if not layout.left or not layout.right:

@@ -168,6 +168,17 @@ class TestLightcone:
         assert peaks[8] < 1.5 * peaks[2], peaks
 
 
+def _wall_results():
+    """Every preset's wall check: summary, closure rounds and factor bytes."""
+    out = []
+    for name in PRESET_NAMES:
+        wall = preset_wall(name)
+        rep = verify_wall(wall.U, wall.layout)
+        out.append((rep.summary(), rep.steps_left, rep.steps_right,
+                    rep.A_C.basis.tobytes(), rep.B_C.basis.tobytes()))
+    return out
+
+
 class TestVerifyWall:
     def test_presets_pass(self):
         for name in ("abelian-pair", "soliton-x", "fswap"):
@@ -181,6 +192,14 @@ class TestVerifyWall:
             rep = verify_wall(haar_unitary(8, SeededRng(2, k)), lay)
             assert not rep.left and not rep.right
             assert rep.stabilization_time == 1
+
+    def test_haar_d256_rejects_both_sides_in_round_one(self):
+        # the call of `wallkit verify --algebra haar --dims 4,16,4`: the
+        # per-element rule rejects round 1 from the first sandwich chunk
+        lay = SystemLayout.tripartite(4, (16,), 4)
+        rep = verify_wall(haar_unitary(lay.dim, SeededRng(0, 77)), lay)
+        assert not rep.left and not rep.right
+        assert (rep.steps_left, rep.steps_right) == (1, 1)
 
     def test_bipartite_product_is_improper_wall(self):
         lay = SystemLayout.tripartite(2, (2,), 2)
@@ -227,12 +246,40 @@ class TestVerifyWall:
         assert first.A_C.basis.tobytes() == second.A_C.basis.tobytes()
         assert first.B_C.basis.tobytes() == second.B_C.basis.tobytes()
 
+    def test_results_do_not_depend_on_call_order(self):
+        first = _wall_results()
+        even, odd = _scanner_chains(8)[1]
+        scan_chain((2,) * 8, even, odd)
+        assert _wall_results() == first
+
+    def test_builds_no_random_generator(self, monkeypatch):
+        # walls and chains are drawn before the patch; the wall checks and
+        # scans run under it, then again without it, with the same results
+        walls = [preset_wall(name) for name in PRESET_NAMES]
+        chains = _scanner_chains(8)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("the wall check built a random generator")
+
+        def results():
+            reps = [verify_wall(wall.U, wall.layout) for wall in walls]
+            return [(rep.summary(), rep.steps_left, rep.steps_right,
+                     rep.A_C.basis.tobytes(), rep.B_C.basis.tobytes()) for rep in reps]
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(np.random, "Generator", no_generator)
+        first = results()
+        records = [scan_chain((2,) * 8, even, odd).records for even, odd in chains]
+        monkeypatch.undo()
+        assert results() == first
+        assert [scan_chain((2,) * 8, even, odd).records for even, odd in chains] == records
+
 
 def _per_element_closure(U, layout, side, tol):
-    """Oracle: the closure with the per-element escape rule at ``tol`` and
-    no probe, with its own right-edge branch and einsum sandwiches in
-    chunks, with early exit.  Returns (passed, rounds, central basis or
-    None, worst relative residual seen in the last round)."""
+    """Oracle: the closure with the per-element escape rule at ``tol``, with
+    its own right-edge branch and einsum sandwiches in chunks, with early
+    exit.  Returns (passed, rounds, central basis or None, worst relative
+    residual seen in the last round)."""
     d_C = layout.d_center
     d_edge = layout.d_left if side == "left" else layout.d_right
     d_bulk = layout.dim // d_edge
@@ -308,8 +355,9 @@ def _scanner_chains(n=8, s=3):
     return chains
 
 
-class TestClosureProbe:
-    """The probe may only reject rounds that the per-element rule rejects."""
+class TestClosureOracle:
+    """``verify_wall`` equals the independent per-element oracle
+    ``_per_element_closure``: same decisions, round counts and factors."""
 
     def test_haar_non_walls_match_oracle(self):
         lay = SystemLayout.tripartite(2, (2,), 2)
@@ -335,31 +383,27 @@ class TestClosureProbe:
             records = scan_chain((2,) * n, even, odd).records
             assert [(r.start, r.width, r.left, r.right) for r in records] == expected
 
-    def test_near_threshold_falls_through_to_per_element_rule(self, monkeypatch):
+    @pytest.mark.parametrize("side", ("below", "above"))
+    def test_near_threshold_matches_oracle(self, side, monkeypatch):
         # a wall perturbed by eps, with the escape threshold that dynamics
-        # reads set just below the worst relative escape of one sandwich:
-        # the probe cannot certify the escape, so only the per-element rule
-        # rejects the round.  (The edge blocks of
-        # this preset already span their full space, so the perturbation
-        # adds no edge direction of norm eps, whose sandwiches would escape
-        # by O(1) relative to their norm.)
+        # reads set just below or just above the worst relative escape of
+        # round 1: below, the left check rejects in round 1; above, round 1
+        # passes and the check ends as the oracle's does at that threshold.
+        # (The edge blocks of this preset already span their full space, so
+        # the perturbation adds no edge direction of norm eps, whose
+        # sandwiches would escape by O(1) relative to their norm.)
         wall = preset_wall("nonabelian-cnot")
         h = haar_unitary(wall.layout.dim, SeededRng(41))
         w, v = np.linalg.eigh((h + dagger(h)) / 2)
         U = wall.U @ (v * np.exp(1e-6j * w)) @ dagger(v)
         _, _, _, worst = _per_element_closure(U, wall.layout, "left", ESCAPE_TOL)
         assert 1e-7 < worst < 1e-5
-        tol = worst * (1 - 1e-6)
-        assert _per_element_closure(U, wall.layout, "left", tol)[:2] == (False, 1)
-        fired = []
-        probe = dynamics._probe_escapes
-        monkeypatch.setattr(
-            dynamics, "_probe_escapes", lambda *args: fired.append(probe(*args)) or fired[-1]
-        )
+        tol = worst * (1 - 1e-6 if side == "below" else 1 + 1e-6)
+        expected = _per_element_closure(U, wall.layout, "left", tol)[:2]
+        assert expected == ((False, 1) if side == "below" else (False, 2))
         monkeypatch.setattr(dynamics, "ESCAPE_TOL", tol)
         rep = verify_wall(U, wall.layout)
-        assert fired and not any(fired)
-        assert not rep.left and rep.steps_left == 1
+        assert (rep.left, rep.steps_left) == expected
 
 
 def _sandwiches(m, a, d_out):
@@ -392,54 +436,6 @@ class TestClosureKernel:
             got = dynamics._compress_to_center(X.copy(), d_C, d_out)
             for want, have in zip(expected, got, strict=True):
                 assert want.tobytes() == have.tobytes()
-
-
-def _seed_probes(monkeypatch, seed):
-    """Make every closure draw its probes from ``seed`` in place of PROBE_SEED."""
-    g = np.random.default_rng(seed)
-    monkeypatch.setattr(dynamics, "_probe_generator", lambda: (g, g.bit_generator.state))
-
-
-def _wall_results():
-    """Every preset's wall check: summary, closure rounds and factor bytes."""
-    out = []
-    for name in PRESET_NAMES:
-        wall = preset_wall(name)
-        rep = verify_wall(wall.U, wall.layout)
-        out.append((rep.summary(), rep.steps_left, rep.steps_right,
-                    rep.A_C.basis.tobytes(), rep.B_C.basis.tobytes()))
-    return out
-
-
-def _chain_records():
-    """The scan records of acceptance criterion 10's chains."""
-    return [
-        [(r.start, r.width, r.left, r.right) for r in scan_chain((2,) * 8, even, odd).records]
-        for even, odd in _scanner_chains(8)
-    ]
-
-
-@pytest.fixture(scope="module")
-def default_probe_results():
-    return _wall_results(), _chain_records()
-
-
-class TestProbeDraws:
-    """The probe only fires on rounds that the per-element rule rejects, so
-    no draw of its coefficients can change a result."""
-
-    @pytest.mark.parametrize("seed", (1, 4242, 2**31 + 7))
-    def test_other_probe_seeds_give_the_same_results(self, seed, monkeypatch, default_probe_results):
-        _seed_probes(monkeypatch, seed)
-        walls, chains = default_probe_results
-        assert _wall_results() == walls
-        assert _chain_records() == chains
-
-    def test_results_do_not_depend_on_call_order(self):
-        first = _wall_results()
-        even, odd = _scanner_chains(8)[1]
-        scan_chain((2,) * 8, even, odd)
-        assert _wall_results() == first
 
 
 SHARED_BUILDER = ("abelian-pair", "reducible-composite", "soliton-x", "uncoupled-center", "swap-zz")
