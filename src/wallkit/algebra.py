@@ -20,7 +20,6 @@ from .linalg import (
     nullspace,
     orthonormal_basis,
     project_span,
-    projector_onto,
 )
 
 @dataclass
@@ -157,15 +156,21 @@ def center(alg: MatrixAlgebra) -> MatrixAlgebra:
 
 
 def intersect(a: MatrixAlgebra, b: MatrixAlgebra) -> MatrixAlgebra:
-    """Intersection of spans via the stacked (1-P_a; 1-P_b) nullspace."""
+    """Intersection of two spans, over the coefficients of the smaller basis.
+
+    With a the span of fewer elements, its elements' residuals off b are
+    r = a - (a b^dag) b, and sum_i c_i a_i lies in b iff r^T c = 0: the
+    intersection is the kernel of r^T, so a unit element of a is kept when
+    its residual off b is at most ``KERNEL_TOL`` (the angle method of Bjorck
+    and Golub), with no d^2 x d^2 projector.
+    """
     if a.layout.site_dims != b.layout.site_dims:
         raise ValueError("operator spaces live on different layouts")
-    d = a.layout.dim
-    eye = np.eye(d * d, dtype=complex)
-    stacked = np.concatenate([eye - projector_onto(a.basis), eye - projector_onto(b.basis)])
-    vecs = nullspace(stacked)
-    basis = orthonormal_basis(vecs.T.reshape(-1, d, d))
-    return MatrixAlgebra(basis, a.layout)
+    layout, d = a.layout, a.layout.dim
+    small, big = (a, b) if a.dim <= b.dim else (b, a)
+    x, y = small.basis.reshape(small.dim, d * d), big.basis.reshape(big.dim, d * d)
+    r = x - (x @ y.conj().T) @ y
+    return MatrixAlgebra((nullspace(r.T).T @ x).reshape(-1, d, d), layout)
 
 
 def contains(alg: MatrixAlgebra, O: np.ndarray, tol: float = RANK_TOL) -> bool:

@@ -401,8 +401,7 @@ def _cmd_invariants(cfg):
 
 
 def _cmd_conserved(cfg):
-    inv = _wall_from_config(cfg).invariants
-    cons = dynamics.conserved_algebra(inv)
+    cons = dynamics.conserved_algebra(_wall_from_config(cfg))
     return {"dim_conserved": cons.dim}, ("json", cons.to_json)
 
 

@@ -25,12 +25,11 @@ from .linalg import (
 from .algebra import (
     MatrixAlgebra,
     close_algebra,
-    commutant,
     intersect,
     max_commutator,
     relative_commutant,
 )
-from .blocks import _verify_block_form
+from .blocks import _verify_block_form, frame_span
 
 # complex elements of one chunk of evolved operators in ``lightcone``
 LIGHTCONE_CHUNK_ELEMS = 2**22
@@ -345,18 +344,22 @@ def invariant_algebras(U, layout: SystemLayout) -> WallReport:
     return report
 
 
-def conserved_algebra(inv: WallReport) -> MatrixAlgebra:
+def conserved_algebra(wall) -> MatrixAlgebra:
     """C-local conserved charges, computed on C.
 
+    ``wall`` is a ``WallUnitary``, whose ``invariants`` give A_C and B_C.
     The invariant algebras factor as Lbar = M_L x A_C x 1_R and
-    Rbar = 1_L x B_C x M_R (``invariant_algebras`` raises otherwise), so
-    Lbar' ∩ Rbar' = 1_L x (A_C' ∩ B_C') x 1_R: the conserved algebra is the
-    part of A_C' that commutes with B_C, with no d^2 x d^2 superoperator on
-    the full space.  Every returned element is checked to commute with both
+    Rbar = 1_L x B_C x M_R, so Lbar' ∩ Rbar' = 1_L x (A_C' ∩ B_C') x 1_R: the
+    conserved algebra is the part of A_C' that commutes with B_C.  A_C' is
+    read off the wall's block frame of A_C = V (⊕ M_D x 1_E) V^dag as
+    V (⊕ 1_D x M_E) V^dag, with no second decomposition and no d^2 x d^2
+    superoperator.  Every returned element is checked to commute with both
     central factors.
     """
+    inv = wall.invariants
     joint = MatrixAlgebra(
-        relative_commutant(commutant(inv.A_C).basis, inv.B_C.basis), inv.A_C.layout
+        relative_commutant(frame_span(wall.block_structure, mirror=True), inv.B_C.basis),
+        inv.A_C.layout,
     )
     # all bases are HS-orthonormal, so these commutator norms are relative
     residual = max_commutator(joint.basis, np.concatenate([inv.A_C.basis, inv.B_C.basis]))

@@ -21,7 +21,7 @@ from .layout import SystemLayout, as_generator
 # serve several decisions: ``algebra.contains`` and
 # ``algebra.cluster_eigenvalues``.  s are singular values, w eigenvalues.
 RANK_TOL = 1e-9  # orthonormal_basis: span rank, s > RANK_TOL * s_max
-KERNEL_TOL = 1e-9  # nullspace: kernel, s <= KERNEL_TOL * max(s_max, 1)
+KERNEL_TOL = 1e-9  # nullspace: kernel, s <= KERNEL_TOL * max(s_max, 1); intersect: a unit element's residual off the other span
 ZERO_TOL = 1e-10  # an operator or sandwich of smaller HS norm is zero
 WORD_TOL = 1e-9  # close_algebra: a word's residual off the span (its factors have HS norm 1); s > WORD_TOL
 GRAM_TOL = 1e-9  # relative_commutant: Gram w <= GRAM_TOL * max(w_max, 1) commute
@@ -180,13 +180,6 @@ def random_hermitian_in_span(basis: np.ndarray, rng) -> np.ndarray:
     c = g.standard_normal(len(basis)) + 1j * g.standard_normal(len(basis))
     x = np.tensordot(c, basis, axes=(0, 0))
     return (x + dagger(x)) / 2
-
-
-def projector_onto(basis: np.ndarray) -> np.ndarray:
-    """Orthogonal projector (on vectorized operators) onto a stacked span."""
-    k, m, n = basis.shape
-    flat = basis.reshape(k, m * n)
-    return flat.conj().T @ flat
 
 
 def project_span(basis: np.ndarray, O: np.ndarray) -> np.ndarray:

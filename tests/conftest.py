@@ -6,18 +6,22 @@ the carried frame, and the (L, C, R) -> (R, C, L) edge swap, an oracle for
 the right-edge frames that the wall checks read off the cut after C, the
 lift-and-subtract compression, an oracle for the bytes of the in-place one
 the closure uses, and the dense brickwork unitary of a whole chain with its
-per-window wall checks, an oracle for the chain scanner's light cones, and
-the pairwise-squaring closure, an oracle for the closure by words."""
+per-window wall checks, an oracle for the chain scanner's light cones, the
+pairwise-squaring closure, an oracle for the closure by words, the stacked
+projector intersection, an oracle for the intersection by residuals, and the
+conserved algebra through a second decomposition of A_C, an oracle for the
+one read off the wall's block frame."""
 
 from math import prod
 
 import numpy as np
 
-from wallkit.algebra import MatrixAlgebra
+from wallkit.algebra import MatrixAlgebra, commutant, relative_commutant
 from wallkit.blocks import decompose, isomorphism_signature
 from wallkit.dynamics import _lift, verify_wall
 from wallkit.layout import SystemLayout, as_generator
 from wallkit.linalg import dagger, nullspace, orthonormal_basis
+from wallkit.walls import resolve_central_algebra, synth_wall
 
 CRITERION_LINES: list[str] = []
 
@@ -48,6 +52,29 @@ def superoperator_commutant(stack, layout):
     rows = np.concatenate([np.kron(g, eye) - np.kron(eye, g.T) for g in stack])
     kernel = nullspace(rows).T.reshape(-1, d, d)
     return MatrixAlgebra(orthonormal_basis(kernel), layout)
+
+
+def projector_onto(basis):
+    """Orthogonal projector (on vectorized operators) onto a stacked span."""
+    k, m, n = basis.shape
+    flat = basis.reshape(k, m * n)
+    return flat.conj().T @ flat
+
+
+def stacked_intersect(a, b):
+    """Oracle: the intersection of two spans as the nullspace of the stacked
+    (1 - P_a; 1 - P_b), of shape (2 d^2, d^2), by one full SVD."""
+    d = a.layout.dim
+    eye = np.eye(d * d, dtype=complex)
+    stacked = np.concatenate([eye - projector_onto(a.basis), eye - projector_onto(b.basis)])
+    vecs = nullspace(stacked)
+    return MatrixAlgebra(orthonormal_basis(vecs.T.reshape(-1, d, d)), a.layout)
+
+
+def commutant_conserved(inv):
+    """Oracle: the conserved algebra as the part of A_C' that commutes with
+    B_C, A_C' taken from ``commutant``, which decomposes A_C afresh."""
+    return MatrixAlgebra(relative_commutant(commutant(inv.A_C).basis, inv.B_C.basis), inv.A_C.layout)
 
 
 def decomposed_gauged_sequence(wall, gauges, rng):
@@ -99,6 +126,13 @@ def brickwork_unitary(site_dims, even_gates, odd_gates):
         g = np.asarray(g, dtype=complex)
         U = (g @ U.reshape(prod(site_dims[:s]), len(g), -1)).reshape(d, d)
     return U
+
+
+def tripartite_wall(d_C, algebra, seed=0):
+    """The ``synth_wall`` of the named central algebra on one central site of
+    dimension d_C, between qubit edges, as ``--dims 2,<d_C>,2`` builds it."""
+    layout = SystemLayout.tripartite(2, (d_C,), 2)
+    return synth_wall(layout, resolve_central_algebra(algebra, layout), seed=seed)
 
 
 def window_layout(site_dims, start, width):

@@ -15,7 +15,6 @@ from wallkit.dynamics import (
     conserved_algebra,
     evolve_op,
     gauged_sequence,
-    invariant_algebras,
     scan_chain,
     verify_wall,
 )
@@ -140,7 +139,7 @@ def test_criterion_3_wedderburn_identities():
 def test_criterion_4_conserved_charges():
     problems = []
     wall = preset_wall("abelian-pair")
-    cons = conserved_algebra(invariant_algebras(wall.U, wall.layout))
+    cons = conserved_algebra(wall)
     if cons.dim != wall.layout.d_center:
         problems.append(f"diag-control preset conserved dim {cons.dim} != d_C")
     for c in cons.basis:
@@ -149,7 +148,7 @@ def test_criterion_4_conserved_charges():
             problems.append("diag-control conserved element drifts")
     for name in ("nonabelian-cnot", "fswap"):
         w = preset_wall(name)
-        cn = conserved_algebra(invariant_algebras(w.U, w.layout))
+        cn = conserved_algebra(w)
         if cn.dim != 1:
             problems.append(f"{name} conserved dim {cn.dim} != 1")
         for c in cn.basis:

@@ -30,7 +30,7 @@ from wallkit.walls import (
     preset_wall,
     resolve_central_algebra,
 )
-from conftest import pairwise_closure, superoperator_commutant
+from conftest import pairwise_closure, stacked_intersect, superoperator_commutant, tripartite_wall
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L1 = SystemLayout((2,))
@@ -324,6 +324,68 @@ class TestCenter:
         alg = close_algebra([np.diag([0.0, 1, 1]), xb, zb], lay)
         assert alg.dim == 5
         assert center(alg).dim == 2
+
+
+def _intersect_cases():
+    """(a, b) pairs: each criterion 2 algebra with its commutant, then the
+    central factors (A_C, B_C) of every preset, of ``diag`` walls up to
+    d_C = 16 and of ``full`` walls up to d_C = 8."""
+    for k, (gens, dims) in enumerate(KERNEL_CASES):
+        alg = close_algebra(gens, SystemLayout(dims))
+        yield f"criterion2-{k}", lambda alg=alg: (alg, commutant(alg))
+    walls = [(name, lambda name=name: preset_wall(name)) for name in PRESET_NAMES]
+    walls += [(f"diag-{d_C}", lambda d_C=d_C: tripartite_wall(d_C, "diag")) for d_C in (2, 4, 8, 16)]
+    walls += [(f"full-{d_C}", lambda d_C=d_C: tripartite_wall(d_C, "full")) for d_C in (2, 4, 8)]
+    for name, build in walls:
+        yield name, lambda build=build: _central_factors(build().invariants)
+
+
+def _central_factors(inv):
+    return inv.A_C, inv.B_C
+
+
+INTERSECT_CASES = dict(_intersect_cases())
+
+
+class TestIntersect:
+    @pytest.mark.parametrize("case", INTERSECT_CASES)
+    def test_matches_stacked_oracle_in_either_order(self, case):
+        a, b = INTERSECT_CASES[case]()
+        oracle = stacked_intersect(a, b)
+        for out in (intersect(a, b), intersect(b, a)):
+            assert out.dim == oracle.dim and equals(out, oracle)
+            assert out.layout.site_dims == a.layout.site_dims
+
+    def test_empty_intersection_is_a_zero_stack(self):
+        a = MatrixAlgebra(X[None] / np.sqrt(2), L1)
+        b = MatrixAlgebra(Z[None] / np.sqrt(2), L1)
+        assert intersect(a, b).basis.shape == (0, 2, 2)
+        assert stacked_intersect(a, b).dim == 0
+
+    @pytest.mark.parametrize("eps, kept", [(1e-6, False), (1e-12, True)])
+    def test_an_element_moved_off_the_other_span(self, eps, kept):
+        # a = span{1 + eps X, Y}, b = span{1, Z}: the residual of a's unit
+        # element (1 + eps X) / norm off b is about eps, against KERNEL_TOL
+        a = MatrixAlgebra(orthonormal_basis([I2 + eps * X, Y]), L1)
+        b = MatrixAlgebra(orthonormal_basis([I2, Z]), L1)
+        for out in (intersect(a, b), intersect(b, a), stacked_intersect(a, b)):
+            assert out.dim == int(kept)
+            if kept:
+                assert contains(out, I2)
+
+    def test_d_c_32_without_a_projector_stack(self):
+        # the stacked (1 - P_a; 1 - P_b) at d_C = 32 takes 32 MiB alone
+        lay = SystemLayout((32,))
+        a = close_algebra([np.diag(np.arange(32.0))], lay)
+        b = close_algebra([np.diag(np.repeat(np.arange(16.0), 2))], lay)
+        tracemalloc.start()
+        try:
+            out = intersect(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.dim == 16 and equals(out, b)
+        assert peak < 8 * 2**20
 
 
 class TestSetAlgebra:

@@ -791,6 +791,29 @@ class TestOneVerification:
         _summary(capsys, call + source)
 
 
+@pytest.mark.parametrize("source", WALL_SOURCES, ids=lambda a: "_".join(a))
+def test_conserved_decomposes_only_to_build_the_wall(source, capsys, monkeypatch):
+    # A_C' is read off the wall's block frame, not from a second decomposition
+    calls = []
+    decompose = blocks.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    build = cli._wall_from_config
+
+    def build_then_count(cfg):
+        wall = build(cfg)
+        for module in (blocks, walls, cli):
+            monkeypatch.setattr(module, "decompose", counted)
+        return wall
+
+    monkeypatch.setattr(cli, "_wall_from_config", build_then_count)
+    _summary(capsys, ["conserved", *source])
+    assert calls == []
+
+
 VERIFY_SOURCES = [["--preset", name] for name in walls.PRESET_NAMES] + [["--dims", "2,2,2"]]
 
 

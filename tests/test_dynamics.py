@@ -19,7 +19,6 @@ from wallkit.linalg import (
     kron,
     orthonormal_basis,
     partial_trace,
-    projector_onto,
 )
 from wallkit.algebra import (
     MatrixAlgebra,
@@ -27,7 +26,6 @@ from wallkit.algebra import (
     contains,
     equals,
     extract_central_factor,
-    intersect,
 )
 from wallkit.dynamics import (
     conserved_algebra,
@@ -51,11 +49,15 @@ from wallkit.walls import (
 )
 from conftest import (
     brickwork_unitary,
+    commutant_conserved,
     decomposed_gauged_sequence,
     dense_scan_records,
     lifted_compress,
+    projector_onto,
+    stacked_intersect,
     superoperator_commutant,
     swap_edges,
+    tripartite_wall,
     window_layout,
 )
 
@@ -544,7 +546,7 @@ def _full_space_conserved(inv):
     rbar_gens = [kron(np.eye(d_L), kron(np.eye(d_C), g)) for g in _clock_shift(d_R)] + [
         kron(np.eye(d_L), kron(b, np.eye(d_R))) for b in inv.B_C.basis
     ]
-    joint = intersect(
+    joint = stacked_intersect(
         superoperator_commutant(np.asarray(lbar_gens), layout),
         superoperator_commutant(np.asarray(rbar_gens), layout),
     )
@@ -565,7 +567,7 @@ class TestConserved:
     def test_matches_full_space_oracle_on_presets(self, name):
         wall = preset_wall(name)
         inv = invariant_algebras(wall.U, wall.layout)
-        alg = conserved_algebra(inv)
+        alg = conserved_algebra(wall)
         assert alg.layout.site_dims == wall.layout.center_dims
         assert equals(alg, _full_space_conserved(inv))
 
@@ -573,28 +575,44 @@ class TestConserved:
     def test_matches_full_space_oracle_on_diag_walls(self, seed):
         wall = _diag_wall(seed)
         inv = invariant_algebras(wall.U, wall.layout)
-        assert equals(conserved_algebra(inv), _full_space_conserved(inv))
+        alg = conserved_algebra(wall)
+        assert equals(alg, _full_space_conserved(inv))
+        assert equals(alg, commutant_conserved(inv))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_commutant_oracle_on_presets(self, name):
+        wall = preset_wall(name)
+        assert equals(conserved_algebra(wall), commutant_conserved(wall.invariants))
+
+    @pytest.mark.parametrize("d_C", [2, 4, 8, 16])
+    def test_diag_walls_conserve_their_whole_diagonal(self, d_C):
+        # on a diag wall A_C = B_C is maximal abelian, so A_C' ∩ B_C' = A_C
+        wall = tripartite_wall(d_C, "diag")
+        alg = conserved_algebra(wall)
+        assert alg.dim == d_C
+        assert equals(alg, commutant_conserved(wall.invariants))
+        assert equals(alg, wall.invariants.A_C)
 
     def test_abelian_pair_dim(self):
         wall = preset_wall("abelian-pair")
-        alg = conserved_algebra(invariant_algebras(wall.U, wall.layout))
+        alg = conserved_algebra(wall)
         assert alg.dim == 2
         assert contains(alg, Z)
 
     def test_swap_zz_diag_dim(self):
         wall = preset_wall("swap-zz")
-        alg = conserved_algebra(invariant_algebras(wall.U, wall.layout))
+        alg = conserved_algebra(wall)
         assert alg.dim == 4
 
     def test_nonabelian_trivial(self):
         for name in ("nonabelian-cnot", "fswap"):
             wall = preset_wall(name)
-            alg = conserved_algebra(invariant_algebras(wall.U, wall.layout))
+            alg = conserved_algebra(wall)
             assert alg.dim == 1, name
 
     def test_uncoupled_center(self):
         wall = preset_wall("uncoupled-center")
-        alg = conserved_algebra(invariant_algebras(wall.U, wall.layout))
+        alg = conserved_algebra(wall)
         assert alg.dim == 16
         # the untouched middle central site is fully conserved
         c_layout = SystemLayout((2, 2, 2))
@@ -603,7 +621,7 @@ class TestConserved:
 
     def test_conservation_in_time(self):
         wall = preset_wall("abelian-pair")
-        alg = conserved_algebra(invariant_algebras(wall.U, wall.layout))
+        alg = conserved_algebra(wall)
         for c in alg.basis:
             lifted = embed(c, (1,), wall.layout)
             moved = evolve_op(wall.U, lifted, 50)

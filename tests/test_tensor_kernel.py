@@ -14,9 +14,10 @@ from wallkit.linalg import (
     nullspace,
     orthonormal_basis,
     partial_trace,
-    projector_onto,
 )
 from wallkit.walls import PAULI, pauli_string
+
+from conftest import projector_onto
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 
