@@ -100,22 +100,18 @@ def close_algebra(generators, layout: SystemLayout) -> MatrixAlgebra:
     return MatrixAlgebra(basis.reshape(-1, d, d), layout, generators=gens if len(gens) else None)
 
 
-# seed of the block frame a commutant is read from: fixed, so that every
-# commutant is deterministic
-FRAME_SEED = 20200
-
-
 def commutant(alg: MatrixAlgebra) -> MatrixAlgebra:
     """Algebra of all operators commuting with every element of `alg`.
 
     By the Wedderburn theorem, A = V (⊕_i M_{D_i} (x) 1_{E_i}) V^dag has
     A' = V (⊕_i 1_{D_i} (x) M_{E_i}) V^dag, so A' is read off the block frame
-    of ``decompose`` (drawn from ``FRAME_SEED``) with its exact
-    HS-orthonormal basis V_i (1_D (x) e_ab) V_i^dag / sqrt(D).
+    of ``decompose`` (the span's own frame, shared with a wall's
+    ``block_structure``) with its exact HS-orthonormal basis
+    V_i (1_D (x) e_ab) V_i^dag / sqrt(D).
     """
     from .blocks import decompose, frame_span  # blocks imports this module
 
-    return MatrixAlgebra(frame_span(decompose(alg, FRAME_SEED), mirror=True), alg.layout)
+    return MatrixAlgebra(frame_span(decompose(alg), mirror=True), alg.layout)
 
 
 def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,7 +134,7 @@ def relative_commutant(basis: np.ndarray, ops: np.ndarray) -> np.ndarray:
     superoperator.
     """
     k = len(basis)
-    flat = _commutators(basis, ops).reshape(k, len(ops), -1)
+    flat = _commutators(basis, ops).reshape(k, len(ops), basis[0].size)
     gram = np.einsum("ljx,ijx->li", flat.conj(), flat)
     w, v = np.linalg.eigh(gram)
     scale = max(float(w[-1]), 1.0)
@@ -151,8 +147,12 @@ def relative_commutant(basis: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 
 def center(alg: MatrixAlgebra) -> MatrixAlgebra:
-    """Z(A): the elements of A that commute with all of A."""
-    return MatrixAlgebra(relative_commutant(alg.basis, alg.basis), alg.layout)
+    """Z(A): the elements of A that commute with an orthonormal basis of the
+    generators G u G^dag, which generate A (k g commutators, not k^2); with
+    its basis when A carries no generators."""
+    gens = alg.generators
+    ops = alg.basis if gens is None else orthonormal_basis([*gens, *gens.conj().transpose(0, 2, 1)])
+    return MatrixAlgebra(relative_commutant(alg.basis, ops), alg.layout)
 
 
 def intersect(a: MatrixAlgebra, b: MatrixAlgebra) -> MatrixAlgebra:

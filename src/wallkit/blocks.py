@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import SystemLayout, as_generator
+from .layout import SeededRng, SystemLayout
 from .linalg import (
     CENTRAL_CLUSTER_TOL,
     FRAME_CLUSTER_TOL,
@@ -16,13 +16,13 @@ from .linalg import (
     VERIFY_TOL,
     dagger,
     orthonormal_basis,
-    random_hermitian_in_span,
+    project_span,
 )
-from .algebra import (
-    MatrixAlgebra,
-    cluster_eigenvalues,
-    relative_commutant,
-)
+from .algebra import MatrixAlgebra, center, cluster_eigenvalues
+
+# seed of the one Hermitian draw that frames every algebra: fixed, so that a
+# decomposition depends on the span alone
+FRAME_SEED = 20200
 
 
 @dataclass
@@ -56,31 +56,35 @@ class BlockStructure:
         }
 
 
-def _minimal_central_projectors(alg: MatrixAlgebra, rng) -> list[np.ndarray]:
-    center = relative_commutant(alg.basis, alg.basis)
-    w, v = np.linalg.eigh(random_hermitian_in_span(center, rng))
+def _frame_element(alg: MatrixAlgebra) -> np.ndarray:
+    """A GUE matrix drawn from ``FRAME_SEED``, projected onto the span: a
+    generic Hermitian element of ``alg`` whatever basis carries it."""
+    g, d = SeededRng(FRAME_SEED).generator(), alg.layout.dim
+    z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    return alg.project(z + dagger(z))  # Hermitian, as the span is *-closed
+
+
+def _minimal_central_projectors(alg: MatrixAlgebra, h: np.ndarray) -> list[np.ndarray]:
+    Z = center(alg).basis
+    w, v = np.linalg.eigh(project_span(Z, h))
     groups = cluster_eigenvalues(w, CENTRAL_CLUSTER_TOL)
-    if len(groups) != len(center):
-        raise RuntimeError(f"{len(groups)} central clusters for a {len(center)}-dimensional center")
+    if len(groups) != len(Z):
+        raise RuntimeError(f"{len(groups)} central clusters for a {len(Z)}-dimensional center")
     # one projector per central dimension: guaranteed minimal
     return [v[:, idx] @ dagger(v[:, idx]) for idx in groups]
 
 
-def _compress(basis: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Compress a stacked basis into the column space of isometry Q."""
-    return np.einsum("ai,kab,bj->kij", Q.conj(), basis, Q)
-
-
-def _block_product_frame(a_basis: np.ndarray, rng) -> tuple[int, int, np.ndarray]:
+def _block_product_frame(a_basis: np.ndarray, h: np.ndarray) -> tuple[int, int, np.ndarray]:
     """Product frame for one central block.
 
-    `a_basis` spans a factor algebra (trivial center) of M_m; returns
-    (dim_D, dim_E, V_local) with V_local columns ordered so that conjugated
-    algebra elements take the form m_D (x) 1_E.
+    `a_basis` spans a factor algebra (trivial center) of M_m, `h` is a generic
+    Hermitian element of it; returns (dim_D, dim_E, V_local) with V_local
+    columns ordered so that conjugated algebra elements take the form
+    m_D (x) 1_E.
     """
     m = a_basis.shape[1]
     k = len(a_basis)
-    w, v = np.linalg.eigh(random_hermitian_in_span(a_basis, rng))
+    w, v = np.linalg.eigh(h)
     groups = cluster_eigenvalues(w, FRAME_CLUSTER_TOL)
     dD, dE = len(groups), len(groups[0])
     if any(len(g) != dE for g in groups) or dD * dE != m or dD * dD != k:
@@ -115,16 +119,18 @@ def _block_product_frame(a_basis: np.ndarray, rng) -> tuple[int, int, np.ndarray
     return dD, dE, Vp
 
 
-def decompose(alg: MatrixAlgebra, rng) -> BlockStructure:
+def decompose(alg: MatrixAlgebra) -> BlockStructure:
     """Block decomposition A = V (⊕_i M_{D_i} (x) 1_{E_i}) V^dag.
 
-    Central projectors come from eigenspaces of a random Hermitian central
-    element; within each block a random Hermitian algebra element seeds the
-    product frame.  The result is verified by conjugation residual.
+    One Hermitian element h = ``_frame_element(alg)`` frames A: the
+    eigenspaces of its part in Z(A) are the central projectors, in order of
+    eigenvalue, and those of its compression to each block seed that block's
+    product frame, so blocks and projectors depend on the span alone.  The
+    result is verified by conjugation residual.
     """
-    g = as_generator(rng)
     d = alg.layout.dim
-    projectors = _minimal_central_projectors(alg, g)
+    h = _frame_element(alg)
+    projectors = _minimal_central_projectors(alg, h)
     blocks: list[tuple[int, int]] = []
     V = np.zeros((d, d), dtype=complex)
     pos = 0
@@ -132,8 +138,8 @@ def decompose(alg: MatrixAlgebra, rng) -> BlockStructure:
         w, v = np.linalg.eigh(P)
         Q = v[:, w > 0.5]  # isometry onto the block
         m = Q.shape[1]
-        a_basis = orthonormal_basis(_compress(alg.basis, Q))
-        dD, dE, Vloc = _block_product_frame(a_basis, g)
+        a_basis = orthonormal_basis(dagger(Q) @ alg.basis @ Q)
+        dD, dE, Vloc = _block_product_frame(a_basis, dagger(Q) @ h @ Q)
         blocks.append((dD, dE))
         V[:, pos : pos + m] = Q @ Vloc
         pos += m

@@ -325,7 +325,7 @@ def _cmd_center(cfg):
 
 def _cmd_decompose(cfg):
     alg = _algebra_from_config(cfg)
-    bs = decompose(alg, SeededRng(cfg.seed, 3))
+    bs = decompose(alg)
     data = {
         "blocks": [list(b) for b in bs.blocks],
         "signature": [list(b) for b in isomorphism_signature(bs)],
@@ -518,7 +518,7 @@ def _cmd_sff(cfg):
     else:
         # block-Haar ensemble over the wall's central algebra; no wall is built
         layout, A_C = _central_algebra_from_config(cfg)
-        blocks = decompose(A_C, SeededRng(cfg.seed, 7)).blocks
+        blocks = decompose(A_C).blocks
         d_L, d_R = layout.d_left, layout.d_right
     res = observables.sff_mc(blocks, d_L, d_R, cfg.t_max, cfg.samples, SeededRng(cfg.seed, 51))
     floor = np.finfo(float).eps * res.K_analytic[1:] * np.sqrt(cfg.samples)  # rounding of K_mc

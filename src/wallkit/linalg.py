@@ -174,14 +174,6 @@ def nullspace(M: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def random_hermitian_in_span(basis: np.ndarray, rng) -> np.ndarray:
-    """Random Hermitian element of an adjoint-closed span (stacked basis)."""
-    g = as_generator(rng)
-    c = g.standard_normal(len(basis)) + 1j * g.standard_normal(len(basis))
-    x = np.tensordot(c, basis, axes=(0, 0))
-    return (x + dagger(x)) / 2
-
-
 def project_span(basis: np.ndarray, O: np.ndarray) -> np.ndarray:
     """Orthogonal projection of O onto the span of a stacked orthonormal basis."""
     coeff = np.tensordot(basis.conj(), O, axes=([1, 2], [0, 1]))

@@ -126,12 +126,13 @@ def assemble_wall(layout: SystemLayout, bs: BlockStructure, T_blocks, R_blocks, 
 def synth_wall(layout: SystemLayout, A_C: MatrixAlgebra, permutation=None, seed: int = 0) -> WallUnitary:
     """Synthesize a wall over the central algebra ``A_C`` on C.
 
-    Draws T^i ~ Haar(d_L dim_D_i) and R^i ~ Haar(dim_E_i d_R) from stream
-    ``SeededRng(seed)``; block i feeds slot ``permutation[i]``.  The
-    returned ``WallUnitary`` has passed the wall check.
+    Stream ``SeededRng(seed)`` holds only the draws T^i ~ Haar(d_L dim_D_i)
+    and R^i ~ Haar(dim_E_i d_R); block i of ``decompose(A_C)``, the same at
+    every seed, feeds slot ``permutation[i]``.  The returned ``WallUnitary``
+    has passed the wall check.
     """
     g = SeededRng(seed).generator()
-    bs = decompose(A_C, g)
+    bs = decompose(A_C)
     T_blocks = [haar_unitary(layout.d_left * dD, g) for dD, _ in bs.blocks]
     R_blocks = [haar_unitary(dE * layout.d_right, g) for _, dE in bs.blocks]
     U = assemble_wall(layout, bs, T_blocks, R_blocks, permutation)
@@ -271,7 +272,6 @@ def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
         wall = synth_wall(layout, preset.central_algebra(), seed=seed)
         wall.name = name
         return wall
-    rng = SeededRng(seed, 101)
-    U = preset.build(preset, layout, rng.generator())
+    U = preset.build(preset, layout, SeededRng(seed, 101).generator())
     A_C = preset.central_algebra()
-    return WallUnitary(U, layout, A_C, decompose(A_C, rng), name)
+    return WallUnitary(U, layout, A_C, decompose(A_C), name)

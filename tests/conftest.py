@@ -8,9 +8,10 @@ lift-and-subtract compression, an oracle for the bytes of the in-place one
 the closure uses, and the dense brickwork unitary of a whole chain with its
 per-window wall checks, an oracle for the chain scanner's light cones, the
 pairwise-squaring closure, an oracle for the closure by words, the stacked
-projector intersection, an oracle for the intersection by residuals, and the
+projector intersection, an oracle for the intersection by residuals, the
 conserved algebra through a second decomposition of A_C, an oracle for the
-one read off the wall's block frame."""
+one read off the wall's block frame, and the center from all k^2 basis
+commutators, an oracle for the center by generators."""
 
 from math import prod
 
@@ -19,7 +20,7 @@ import numpy as np
 from wallkit.algebra import MatrixAlgebra, commutant, relative_commutant
 from wallkit.blocks import decompose, isomorphism_signature
 from wallkit.dynamics import _lift, verify_wall
-from wallkit.layout import SystemLayout, as_generator
+from wallkit.layout import SystemLayout
 from wallkit.linalg import dagger, nullspace, orthonormal_basis
 from wallkit.walls import resolve_central_algebra, synth_wall
 
@@ -77,12 +78,18 @@ def commutant_conserved(inv):
     return MatrixAlgebra(relative_commutant(commutant(inv.A_C).basis, inv.B_C.basis), inv.A_C.layout)
 
 
-def decomposed_gauged_sequence(wall, gauges, rng):
+def basis_center(alg):
+    """Oracle: Z(A) as the part of A that commutes with every element of its
+    basis, k^2 commutators whatever generators the algebra carries."""
+    return MatrixAlgebra(relative_commutant(alg.basis, alg.basis), alg.layout)
+
+
+def decomposed_gauged_sequence(wall, gauges):
     """Oracle: the spans A_tau = U~_tau A_{tau-1} U~_tau^dag of a gauged
     sequence (U~_0 = G_0 on Lbar), each re-orthonormalised by SVD and given
-    its block signature by a fresh seeded ``decompose`` on the full space.
+    its block signature by a fresh ``decompose`` on the full space.
     Returns (spans, signatures)."""
-    U, layout, g = wall.U, wall.layout, as_generator(rng)
+    U, layout = wall.U, wall.layout
     current = wall.invariants.Lbar
     spaces, signatures = [], []
     steps = [gauges[0]] + [dagger(G) @ U @ G_prev for G_prev, G in zip(gauges, gauges[1:])]
@@ -90,7 +97,7 @@ def decomposed_gauged_sequence(wall, gauges, rng):
         moved = np.asarray([Ut @ x @ dagger(Ut) for x in current.basis])
         current = MatrixAlgebra(orthonormal_basis(moved), layout)
         spaces.append(current)
-        signatures.append(isomorphism_signature(decompose(current, g)))
+        signatures.append(isomorphism_signature(decompose(current)))
     return spaces, signatures
 
 

@@ -30,7 +30,7 @@ from wallkit.walls import (
     preset_wall,
     resolve_central_algebra,
 )
-from conftest import pairwise_closure, stacked_intersect, superoperator_commutant, tripartite_wall
+from conftest import basis_center, pairwise_closure, stacked_intersect, superoperator_commutant, tripartite_wall
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 L1 = SystemLayout((2,))
@@ -324,6 +324,38 @@ class TestCenter:
         alg = close_algebra([np.diag([0.0, 1, 1]), xb, zb], lay)
         assert alg.dim == 5
         assert center(alg).dim == 2
+
+    # the center commutes with the generators G u G^dag only; the oracle
+    # commutes with the whole basis
+    @pytest.mark.parametrize("case", range(len(KERNEL_CASES)))
+    def test_criterion_2_sets_match_basis_oracle(self, case):
+        gens, dims = KERNEL_CASES[case]
+        alg = close_algebra(gens, SystemLayout(dims))
+        assert equals(center(alg), basis_center(alg))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_central_algebras_match_basis_oracle(self, name):
+        _, alg = preset_algebra(name)
+        assert alg.generators is not None
+        assert equals(center(alg), basis_center(alg))
+
+    @pytest.mark.parametrize("algebra_name", ["diag", "full"])
+    @pytest.mark.parametrize("d_C", range(2, 13))
+    def test_dims_algebras_match_basis_oracle(self, d_C, algebra_name):
+        alg = resolve_central_algebra(algebra_name, SystemLayout((d_C,)))
+        assert alg.generators is not None
+        assert equals(center(alg), basis_center(alg))
+
+    def test_zero_generator_gives_the_trivial_center(self):
+        # the generators span nothing: every element of <1> commutes
+        alg = close_algebra([np.zeros((2, 2))], L1)
+        assert alg.dim == 1 and center(alg).dim == 1
+
+    def test_algebra_without_generators_uses_its_basis(self):
+        alg = close_algebra([np.diag([0.0, 1, 1]), np.diag([1.0, 0, 1])], SystemLayout((3,)))
+        bare = MatrixAlgebra(alg.basis, alg.layout)
+        assert bare.generators is None
+        assert equals(center(bare), alg)
 
 
 def _intersect_cases():

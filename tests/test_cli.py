@@ -352,6 +352,26 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         assert files[0] == files[1]
 
+    def test_decompose_artifact_does_not_depend_on_the_seed(self, capsys, tmp_path):
+        files = []
+        for seed in ("0", "7"):
+            path = tmp_path / f"decompose{seed}.json"
+            argv = ["decompose", "--generators", "ZI,IZ", "--seed", seed, "--out", str(path)]
+            _summary(capsys, argv)
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
+    def test_synth_blocks_do_not_depend_on_the_seed(self):
+        # --permutation names blocks by their place in the frame
+        argv = ["synth", "--dims", "2,2,2", "--algebra", "diag", "--seed"]
+        projs = [
+            cli._wall_from_config(parse_config(argv + [str(seed)])).block_structure.central_projectors
+            for seed in range(3)
+        ]
+        for other in projs[1:]:
+            assert len(other) == len(projs[0])
+            assert all(np.max(np.abs(p - q)) < 1e-9 for p, q in zip(projs[0], other))
+
     def test_different_seeds_differ(self, capsys):
         a = _summary(capsys, ["measure", "--preset", "abelian-pair", "--seed", "1"])
         b = _summary(capsys, ["measure", "--preset", "abelian-pair", "--seed", "2"])

@@ -102,7 +102,7 @@ def _synth_pauli_wall():
 def _given_blocks_wall():
     lay = SystemLayout.tripartite(2, (2,), 2)
     g = SeededRng(10).generator()
-    bs = decompose(close_algebra([Z], SystemLayout((2,))), g)
+    bs = decompose(close_algebra([Z], SystemLayout((2,))))
     T = [haar_unitary(2, g) for _ in bs.blocks]
     R = [haar_unitary(2, g) for _ in bs.blocks]
     return assemble_wall(lay, bs, T, R), lay, bs
@@ -199,7 +199,7 @@ class TestSynthesis:
     def test_recover_rejects_generic_unitary(self):
         lay = SystemLayout.tripartite(2, (2,), 2)
         A_C = close_algebra([Z], SystemLayout((2,)))
-        bs = decompose(A_C, SeededRng(11))
+        bs = decompose(A_C)
         with pytest.raises(ValueError):
             recover_blocks(haar_unitary(8, SeededRng(12)), lay, bs)
 
