@@ -9,6 +9,7 @@ failed (e.g. a wall verification that comes back false).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,10 +105,16 @@ def _build_parser(argv=()) -> _Parser:
     holds only that subcommand's parser; otherwise (no argv, a leading
     option, an unknown name) it holds all of them, for the usage text and
     the missing- or invalid-command errors."""
+    return _parser(argv[0] if argv and argv[0] in COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> _Parser:
+    """``_build_parser`` for one subcommand (None: all of them), built once
+    per process: parsing leaves a parser as it was."""
     p = _Parser(prog="wallkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    for name in names:
+    for name in COMMANDS if command is None else (command,):
         sp = sub.add_parser(name)
         keys = COMMANDS[name][1]
         sp.add_argument("--config")
@@ -279,26 +286,35 @@ def _edge_dims(cfg: RunConfig) -> tuple[int, int]:
     return (2 if cfg.dim_l is None else cfg.dim_l, 2 if cfg.dim_r is None else cfg.dim_r)
 
 
-def _central_algebra_from_config(cfg: RunConfig):
-    """Layout and A_C of the wall that ``_wall_from_config`` builds: a
-    preset's, or ``--algebra`` (default "diag") on the ``--dims`` layout."""
-    try:
-        if cfg.preset:
-            return preset_algebra(cfg.preset, dims=_edge_dims(cfg))
-        layout = _dims_layout(cfg)
-        algebra = "diag" if cfg.algebra is None else cfg.algebra
-        return layout, resolve_central_algebra(algebra, layout)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _dims_algebra(cfg: RunConfig):
+    """Layout and A_C of a ``--dims`` wall: ``--algebra`` (default "diag")
+    on the ``--dims`` layout."""
+    layout = _dims_layout(cfg)
+    algebra = "diag" if cfg.algebra is None else cfg.algebra
+    return layout, resolve_central_algebra(algebra, layout)
 
 
 def _wall_from_config(cfg: RunConfig):
     try:
         if cfg.preset:
             return preset_wall(cfg.preset, dims=_edge_dims(cfg), seed=cfg.seed)
-        return synth_wall(*_central_algebra_from_config(cfg), cfg.permutation, cfg.seed)
+        return synth_wall(*_dims_algebra(cfg), cfg.permutation, cfg.seed)
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _central_frame_from_config(cfg: RunConfig):
+    """Layout and block frame of the A_C of the wall that
+    ``_wall_from_config`` builds, without building it: a preset's kept
+    frame, or ``decompose`` of the ``--dims`` wall's A_C."""
+    try:
+        if cfg.preset:
+            layout, _, bs = preset_algebra(cfg.preset, dims=_edge_dims(cfg))
+            return layout, bs
+        layout, A_C = _dims_algebra(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return layout, decompose(A_C)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +533,8 @@ def _cmd_sff(cfg):
         blocks, d_L, d_R = [(1, 1)], cfg.haar_dim, 1
     else:
         # block-Haar ensemble over the wall's central algebra; no wall is built
-        layout, A_C = _central_algebra_from_config(cfg)
-        blocks = decompose(A_C).blocks
+        layout, bs = _central_frame_from_config(cfg)
+        blocks = bs.blocks
         d_L, d_R = layout.d_left, layout.d_right
     res = observables.sff_mc(blocks, d_L, d_R, cfg.t_max, cfg.samples, SeededRng(cfg.seed, 51))
     floor = np.finfo(float).eps * res.K_analytic[1:] * np.sqrt(cfg.samples)  # rounding of K_mc

@@ -3,6 +3,7 @@ unitaries, and the catalogue presets."""
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -131,8 +132,14 @@ def synth_wall(layout: SystemLayout, A_C: MatrixAlgebra, permutation=None, seed:
     every seed, feeds slot ``permutation[i]``.  The returned ``WallUnitary``
     has passed the wall check.
     """
+    return _block_haar_wall(layout, A_C, decompose(A_C), permutation, seed)
+
+
+def _block_haar_wall(
+    layout: SystemLayout, A_C: MatrixAlgebra, bs: BlockStructure, permutation, seed: int
+) -> WallUnitary:
+    """``synth_wall`` over ``bs``, the block frame ``decompose(A_C)`` gives."""
     g = SeededRng(seed).generator()
-    bs = decompose(A_C)
     T_blocks = [haar_unitary(layout.d_left * dD, g) for dD, _ in bs.blocks]
     R_blocks = [haar_unitary(dE * layout.d_right, g) for _, dE in bs.blocks]
     U = assemble_wall(layout, bs, T_blocks, R_blocks, permutation)
@@ -209,8 +216,17 @@ class Preset:
     middle: tuple[tuple[int, ...], np.ndarray] | None = None
     qubit_edges: bool = False
 
-    def central_algebra(self) -> MatrixAlgebra:
-        return close_algebra(list(self.generators), SystemLayout(self.center))
+    @functools.cache
+    def frame(self) -> tuple[MatrixAlgebra, BlockStructure]:
+        """A_C and its block frame, built on first use and kept for the
+        process: neither depends on the seed or the edge dims.  The cache is
+        keyed by the row object, and every array it holds is read-only."""
+        A_C = close_algebra(list(self.generators), SystemLayout(self.center))
+        bs = decompose(A_C)
+        for a in (A_C.basis, A_C.generators, bs.V, *bs.central_projectors):
+            if a is not None:  # no generators: None
+                a.flags.writeable = False
+        return A_C, bs
 
 
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -252,10 +268,11 @@ def _preset_layout(name: str, dims=None) -> tuple[Preset, SystemLayout]:
     return preset, SystemLayout.tripartite(d_L, preset.center, d_R)
 
 
-def preset_algebra(name: str, dims=None) -> tuple[SystemLayout, MatrixAlgebra]:
-    """Layout and central algebra A_C of a preset, without building its wall."""
+def preset_algebra(name: str, dims=None) -> tuple[SystemLayout, MatrixAlgebra, BlockStructure]:
+    """Layout, central algebra A_C and block frame of a preset, without
+    building its wall."""
     preset, layout = _preset_layout(name, dims)
-    return layout, preset.central_algebra()
+    return (layout, *preset.frame())
 
 
 def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
@@ -268,10 +285,10 @@ def preset_wall(name: str, dims=None, seed: int = 0) -> WallUnitary:
     the central region is fixed per preset.
     """
     preset, layout = _preset_layout(name, dims)
+    A_C, bs = preset.frame()
     if preset.build is None:
-        wall = synth_wall(layout, preset.central_algebra(), seed=seed)
+        wall = _block_haar_wall(layout, A_C, bs, None, seed)
         wall.name = name
         return wall
     U = preset.build(preset, layout, SeededRng(seed, 101).generator())
-    A_C = preset.central_algebra()
-    return WallUnitary(U, layout, A_C, decompose(A_C), name)
+    return WallUnitary(U, layout, A_C, bs, name)

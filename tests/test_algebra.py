@@ -191,7 +191,7 @@ class TestClosureByWords:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_central_algebras_match_pairwise_oracle(self, name):
-        _, alg = preset_algebra(name)
+        _, alg, _ = preset_algebra(name)
         assert equals(alg, pairwise_closure(alg.generators, alg.layout))
 
     @pytest.mark.parametrize("eps, seed", [(3e-10, 0), (3e-10, 1), (1e-9, 0)])
@@ -335,7 +335,7 @@ class TestCenter:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_central_algebras_match_basis_oracle(self, name):
-        _, alg = preset_algebra(name)
+        _, alg, _ = preset_algebra(name)
         assert alg.generators is not None
         assert equals(center(alg), basis_center(alg))
 

@@ -609,10 +609,17 @@ class TestSffOneClosure:
         # every name the sff path can reach either function through
         for module in (walls, cli):
             counted(module, "close_algebra")
-        for module in (blocks, cli):
+        for module in (blocks, walls, cli):
             counted(module, "decompose")
-        _summary(capsys, ["sff", "--preset", "swap-zz", "--samples", "20", "--t-max", "3"])
-        assert calls == {"close_algebra": 1, "decompose": 1}
+        walls.Preset.frame.cache_clear()
+        for name in walls.PRESET_NAMES:
+            argv = ["sff", "--preset", name, "--samples", "20", "--t-max", "3"]
+            calls.update(close_algebra=0, decompose=0)
+            cold = _summary(capsys, argv)
+            assert calls == {"close_algebra": 1, "decompose": 1}  # the preset's frame, kept
+            calls.update(close_algebra=0, decompose=0)
+            assert _summary(capsys, argv) == cold
+            assert calls == {"close_algebra": 0, "decompose": 0}
 
     def test_haar_dim_is_the_one_block_ensemble(self, capsys, tmp_path):
         out = tmp_path / "sff.csv"
@@ -720,14 +727,18 @@ class TestParser:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        cli._parser.cache_clear()
         for command in COMMANDS:
             added.clear()
             assert parse_config([command, "--seed", "4"]).seed == 4
             assert added == [command]
+            assert parse_config([command, "--seed", "5"]).seed == 5
+            assert added == [command]  # the second parse builds nothing
         added.clear()
-        with pytest.raises(UsageError):
-            parse_config(["nope"])
-        assert added == list(COMMANDS)
+        for _ in range(2):
+            with pytest.raises(UsageError):
+                parse_config(["nope"])
+            assert added == list(COMMANDS)
 
     @pytest.mark.parametrize("argv", [[], ["nope"], ["--seed", "3"]])
     def test_missing_or_unknown_command_unchanged(self, argv, capsys, monkeypatch):

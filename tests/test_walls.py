@@ -10,11 +10,13 @@ from wallkit.layout import SeededRng, SystemLayout
 from wallkit.linalg import dagger, embed, haar_unitary, kron
 from wallkit.algebra import close_algebra, contains, equals
 from wallkit.blocks import decompose, isomorphism_signature
+from wallkit.cli import COMMANDS, run
 from wallkit.dynamics import invariant_algebras, verify_wall
 from wallkit.walls import (
     PAULI,
     PRESET_NAMES,
     PRESETS,
+    Preset,
     WallUnitary,
     assemble_wall,
     conditional_unitary,
@@ -249,12 +251,14 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_algebra_matches_wall(self, name):
-        # the sff command reads A_C from the table instead of building the wall
+        # the sff command reads A_C and its frame from the table instead of
+        # building the wall
         dims = (3, 4) if name in SHARED_BUILDER_PRESETS else None
         wall = preset_wall(name, dims=dims, seed=5)
-        layout, A_C = preset_algebra(name, dims=dims)
+        layout, A_C, bs = preset_algebra(name, dims=dims)
         assert layout == wall.layout
         assert np.array_equal(A_C.basis, wall.A_C.basis)
+        assert bs is wall.block_structure
 
     @pytest.mark.parametrize("name, dims", PRESET_EDGES)
     def test_declared_algebra_is_the_invariant_one(self, name, dims):
@@ -300,3 +304,80 @@ class TestCachedInvariants:
             WallUnitary(haar_unitary(wall.layout.dim, SeededRng(5)), *parts)
         with pytest.raises(ValueError, match="not unitary"):
             WallUnitary(2 * wall.U, *parts)
+
+
+# every subcommand that reads --preset, with small sizes where the default is slow
+PRESET_COMMANDS = [name for name, (_, keys) in COMMANDS.items() if "preset" in keys]
+CHEAP = {
+    "gauge-seq": ["--t-max", "3"],
+    "sff": ["--samples", "50", "--t-max", "4"],
+    "arealaw": ["--samples", "3"],
+}
+
+
+def _preset_outputs(calls, out_dir, capsys, cold):
+    """(exit code, stdout, stderr, --out bytes) of each call, clearing the
+    frame cache before every call when ``cold``."""
+    out_dir.mkdir()
+    got = {}
+    for argv in calls:
+        if cold:
+            Preset.frame.cache_clear()
+        out = out_dir / "_".join(argv)
+        takes_out = "out" in COMMANDS[argv[0]][1]
+        code = run([*argv, "--out", str(out)] if takes_out else argv)
+        cap = capsys.readouterr()
+        got[argv] = (code, cap.out, cap.err, out.read_bytes() if takes_out else None)
+    return got
+
+
+class TestPresetFrameCache:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_one_frame_at_every_seed_and_edge(self, name):
+        preset = PRESETS[name]
+        edges = [None] if preset.qubit_edges else [None, (3, 4), (4, 3)]
+        A_C, bs = preset.frame()
+        for dims in edges:
+            for seed in (0, 1, 7):
+                wall = preset_wall(name, dims=dims, seed=seed)
+                assert wall.A_C is A_C and wall.block_structure is bs
+                # the unitary is drawn afresh from its own seed
+                if preset.build is None:
+                    fresh = synth_wall(wall.layout, A_C, seed=seed).U
+                else:
+                    fresh = preset.build(preset, wall.layout, SeededRng(seed, 101).generator())
+                assert np.array_equal(wall.U, fresh)
+            _, alg, frame = preset_algebra(name, dims=dims)
+            assert alg is A_C and frame is bs
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_cached_arrays_are_read_only(self, name):
+        A_C, bs = PRESETS[name].frame()
+        for a in (A_C.basis, A_C.generators, bs.V, *bs.central_projectors):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2
+
+    def test_a_replaced_row_gets_its_own_frame(self, monkeypatch):
+        row = PRESETS["abelian-pair"]
+        twin = replace(row)
+        monkeypatch.setitem(PRESETS, "abelian-pair", twin)
+        _, A_C, bs = preset_algebra("abelian-pair")
+        assert A_C is twin.frame()[0] and bs is twin.frame()[1]
+        assert A_C is not row.frame()[0] and bs is not row.frame()[1]
+        assert np.array_equal(A_C.basis, row.frame()[0].basis)
+
+    def test_cold_and_warm_calls_give_the_same_bytes(self, tmp_path, capsys):
+        calls = [
+            (command, "--preset", name, "--seed", seed, *CHEAP.get(command, []))
+            for seed in ("3", "4")
+            for name in PRESET_NAMES
+            for command in PRESET_COMMANDS
+        ]
+        cold = _preset_outputs(calls, tmp_path / "cold", capsys, cold=True)
+        assert {code for code, *_ in cold.values()} == {0}
+        Preset.frame.cache_clear()
+        assert _preset_outputs(calls, tmp_path / "warm", capsys, cold=False) == cold
+        Preset.frame.cache_clear()
+        assert _preset_outputs(calls[::-1], tmp_path / "reverse", capsys, cold=False) == cold
