@@ -5,7 +5,7 @@ predictions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import prod
 
 import numpy as np
 
@@ -22,14 +22,14 @@ from .linalg import (
     OUTCOME_CLUSTER_TOL,
     SCHMIDT_RANK_TOL,
     dagger,
-    haar_from_ginibre,
     hs_norm,
 )
 from .algebra import cluster_eigenvalues, contains, max_commutator
 
-# complex elements per chunk of one SFF size stack, draws, power buffers and
-# traces together (512 KB): a chunk of the whole run would grow peak memory
-# with the sample count
+# complex elements per chunk of SFF samples (512 KB): a block of size n holds
+# about 4n for its uniforms, Verblunsky coefficients and polynomial, and
+# t_max for its power sums, and a sample's tr U^t and one pair product 2 t_max;
+# a chunk of the whole run would grow peak memory with the sample count
 SFF_CHUNK_ELEMS = 32768
 
 
@@ -281,60 +281,47 @@ def sff_mc(blocks, d_L: int, d_R: int, t_max: int, samples: int, rng: SeededRng)
     R^i Haar on E_i (x) R for ``blocks`` = [(dim_D_i, dim_E_i), ...].  The
     Haar ensemble on dimension n is ``sff_mc([(1, 1)], n, 1, ...)``.
 
-    tr U^t = sum_i tr(T_i^t) tr(R_i^t), so only traces of block powers are
-    needed (``_power_traces``), not spectra.  All draws come from
-    ``rng.generator()``: the blocks of one size n form one stack, drawn in
-    ascending n, sample by sample and block by block, as (n, n, 2) normals
-    (real, imaginary); a chunk of samples then runs QR, the phase fix and the
-    traces together.  A pair's product joins the per-sample total as soon as
-    both its blocks are drawn, in pair order; until then its smaller block
-    waits as its n^2 entries or its t_max traces, whichever is fewer.  The
-    result does not depend on the chunk size.  ``blocks`` is sorted first,
-    so it depends on the block signature and not on the order of the blocks.
+    tr U^t = sum_i tr(T_i^t) tr(R_i^t), and a Haar block's spectrum is
+    CUE(n), the spectrum of a CMV matrix with independent Verblunsky
+    coefficients (Killip & Nenciu, IMRN 2004).  So no matrix is built: each
+    block of size n takes 2n - 1 uniforms (``_verblunsky``), and its traces
+    come from the coefficients of its characteristic polynomial
+    (``_verblunsky_traces``).  All draws come from ``rng.generator()``, one
+    sample-major ``random((m, width))`` per chunk of m samples: each row holds
+    the uniforms of every block, grouped by block size in ascending n and in
+    block order within a size.  The blocks of one size are one stack, and
+    the pair products sum to each sample's tr U^t in pair order.  So the
+    result does not depend on the chunk size; ``blocks`` is sorted first, so
+    it depends on the block signature and not on the order of the blocks.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     blocks = sorted(blocks)
     d = d_L * sum(dD * dE for dD, dE in blocks) * d_R
     sizes = [n for dD, dE in blocks for n in (d_L * dD, dE * d_R)]  # T_0, R_0, T_1, ...
+    stacks = {n: [j for j, size in enumerate(sizes) if size == n] for n in sorted(set(sizes))}
+    width = sum(2 * n - 1 for n in sizes)
+    elems = 2 * t_max + sum(4 * n + t_max for n in sizes)  # complex elements per sample
+    chunks = -(-samples * elems // SFF_CHUNK_ELEMS)
+    chunk = -(-samples // chunks)  # equal chunks: each one costs a Python loop over t
     g = rng.generator()
-    total = np.zeros((samples, t_max), dtype=np.complex128)  # tr U^t, t = 1..t_max
-    waiting = {}  # block j -> its draws or traces, until partner j ^ 1 is drawn
-    for n in sorted(set(sizes)):
-        stack = [j for j, size in enumerate(sizes) if size == n]
-        for j in stack:
-            if sizes[j ^ 1] > n:
-                shape = (n, n) if n * n < t_max else (t_max,)
-                waiting[j] = np.empty((samples, *shape), dtype=np.complex128)
-        pairs = [i for i in range(len(blocks)) if max(sizes[2 * i], sizes[2 * i + 1]) == n]
-        # a chunk's draws and power buffers, with those of waiting draws traced here
-        traced = [n] * len(stack) + [
-            sizes[j] for i in pairs for j in (2 * i, 2 * i + 1)
-            if sizes[j] < n and waiting[j].ndim == 3
-        ]
-        chunk = max(1, SFF_CHUNK_ELEMS // sum(_chunk_elems(k, t_max) for k in traced))
-        col = {j: c for c, j in enumerate(stack)}
-        for s0 in range(0, samples, chunk):
-            m = min(chunk, samples - s0)
-            u = _haar_stack(g, m * len(stack), n).reshape(m, len(stack), n, n)
-            tr = _power_traces(u, t_max)
-            for j, w in waiting.items():
-                if j in col:
-                    w[s0 : s0 + m] = u[:, col[j]] if w.ndim == 3 else tr[:, col[j]]
-            for i in pairs:
-                t_T, t_R = (
-                    tr[:, col[j]] if j in col else _waiting_traces(waiting[j][s0 : s0 + m], t_max)
-                    for j in (2 * i, 2 * i + 1)
-                )
-                total[s0 : s0 + m] += t_T * t_R
-        for i in pairs:
-            waiting.pop(2 * i, None)
-            waiting.pop(2 * i + 1, None)
-    re, im = total.real, total.imag
-    np.square(re, out=re)
-    np.square(im, out=im)
-    per_sample = re + im
-    del total, re, im  # free the complex total before mean and std allocate theirs
+    per_sample = np.empty((samples, t_max))  # |tr U^t|^2, t = 1..t_max
+    for s0 in range(0, samples, chunk):
+        m = min(chunk, samples - s0)
+        u = g.random((m, width))
+        traces, col = {}, 0
+        for n, stack in stacks.items():
+            w = len(stack) * (2 * n - 1)
+            alpha = _verblunsky(u[:, col : col + w].reshape(m * len(stack), 2 * n - 1), n)
+            tr = _verblunsky_traces(alpha, t_max).reshape(m, len(stack), t_max)
+            traces.update((j, tr[:, c]) for c, j in enumerate(stack))
+            col += w
+        total = np.zeros((m, t_max), dtype=np.complex128)  # tr U^t
+        for i in range(len(blocks)):
+            total += traces[2 * i] * traces[2 * i + 1]
+        np.square(total.real, out=per_sample[s0 : s0 + m])
+        per_sample[s0 : s0 + m] += np.square(total.imag)
+    del u, alpha, tr, traces, total  # the last chunk's buffers, before the statistics
 
     times = np.arange(t_max + 1)
     K = np.empty(t_max + 1)
@@ -346,76 +333,51 @@ def sff_mc(blocks, d_L: int, d_R: int, t_max: int, samples: int, rng: SeededRng)
     return SFFResult(times, K, err, K_an, samples)
 
 
-def _haar_stack(g, count: int, n: int) -> np.ndarray:
-    """``count`` Haar unitaries of size n from one (count, n, n, 2) draw of
-    normals (real, imaginary), scaled in place and read as complex.  The
-    scale multiplies by 1/sqrt(2), as numpy's complex-by-real division does,
-    so the Ginibre entries have the bytes of (re + 1j im) / sqrt(2)."""
-    x = g.standard_normal((count, n, n, 2))
-    x *= 1 / np.sqrt(2)
-    return haar_from_ginibre(x.view(np.complex128)[..., 0])
+def _verblunsky(u: np.ndarray, n: int) -> np.ndarray:
+    """Verblunsky coefficients alpha_0..alpha_(n-1) of a CUE(n) CMV matrix,
+    (m, n), from (m, 2n - 1) uniforms on [0, 1): the first n - 1 give
+    |alpha_k|^2 = 1 - u^(1/(n-k-1)), a Beta(1, n - k - 1) draw, the last n
+    the phases 2 pi u; |alpha_(n-1)| = 1."""
+    modulus = np.ones((len(u), n))
+    modulus[:, :-1] = np.sqrt(1 - u[:, : n - 1] ** (1 / np.arange(n - 1, 0, -1)))
+    return modulus * np.exp(2j * np.pi * u[:, n - 1 :])
 
 
-def _waiting_traces(w: np.ndarray, t_max: int) -> np.ndarray:
-    """Traces of a waiting block: stored as they are, or from its draws."""
-    return w if w.ndim == 2 else _power_traces(w, t_max)
+def _verblunsky_traces(alpha: np.ndarray, t_max: int) -> np.ndarray:
+    """tr(C^t) for t = 1..t_max, (m, t_max), of the CMV matrix C = L M with
+    Verblunsky coefficients ``alpha`` (m, n), without building C.
+
+    The Szegő recurrence Phi_(k+1)(z) = z Phi_k(z) - conj(alpha_k) Phi_k*(z),
+    Phi_k*(z) = z^k conj(Phi_k(1/conj(z))), gives Phi_n = det(z - C).  Row j
+    of ``c`` holds the coefficient of z^(j - n + k) after step k, so the
+    factor z costs nothing.  Newton's identities then give the power sums
+    p_t = -(sum_(i <= min(t-1, n)) a_i p_(t-i)) - [t <= n] t a_t of
+    Phi_n(z) = z^n + a_1 z^(n-1) + ... + a_n, in O(n t_max).  The samples
+    run along the last axis, and every sum is taken in a fixed order
+    (``_fixed_order_sum``), so each sample gives the same bytes as it would
+    alone."""
+    m, n = alpha.shape
+    beta = np.conj(alpha.T, order="C")
+    c = np.zeros((n + 1, m), dtype=np.complex128)
+    c[n] = 1
+    for k in range(n):
+        c[n - k - 1 : n] -= beta[k] * c[n : n - k - 1 : -1].conj()
+    p = np.empty((t_max + 1, m), dtype=np.complex128)  # p[t] = p_t; a_i = c[n - i]
+    for t in range(1, t_max + 1):
+        k = min(t - 1, n)
+        s = _fixed_order_sum(c[n - k : n] * p[t - k : t]) if k else 0
+        if t <= n:
+            s = s + t * c[n - t]
+        np.negative(s, out=p[t])
+    return p[1:].T
 
 
-def _baby_giant(t_max: int) -> tuple[int, int]:
-    """(k, giants): k = ceil(sqrt(t_max + 1)) baby steps V^0..V^(k-1) and
-    the giant steps V^(bk), b < giants, reach every t <= t_max as bk + a."""
-    k = isqrt(t_max) + 1
-    return k, t_max // k + 1
-
-
-def _chunk_elems(n: int, t_max: int) -> int:
-    """Complex elements one n x n block holds in a chunk: its Ginibre, QR and
-    phase-fix buffers, the power buffers of ``_power_traces`` and its traces."""
-    powers = t_max
-    if n >= 3:
-        k, giants = _baby_giant(t_max)
-        powers = (k + giants + 1) * n * n + giants * k
-    return 4 * n * n + powers + 2 * t_max
-
-
-def _power_traces(v: np.ndarray, t_max: int) -> np.ndarray:
-    """tr(V^t) for t = 1..t_max of each unitary V of the stack ``v``
-    (..., n, n), as (..., t_max).  n = 1: powers of the entry.  n = 2: the
-    Cayley-Hamilton recurrence p_t = tau p_(t-1) - delta p_(t-2) with
-    tau = tr V, delta = det V.  n >= 3: baby steps (V^T)^a, a < k, and giant
-    steps V^(bk) (Paterson-Stockmeyer), so that tr(V^(bk+a)) is one row dot
-    product and a matrix takes about 2 sqrt(t_max) products.  Each matrix
-    gives the same bytes as it would alone."""
-    lead, n = v.shape[:-2], v.shape[-1]
-    v = v.reshape(-1, n, n)
-    m = len(v)
-    if t_max == 0:
-        return np.zeros((*lead, 0), dtype=np.complex128)
-    if n == 1:
-        out = np.cumprod(np.broadcast_to(v[:, 0], (m, t_max)), axis=1)
-    elif n == 2:
-        tau = v[:, 0, 0] + v[:, 1, 1]
-        delta = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
-        p = np.empty((t_max + 1, m), dtype=np.complex128)
-        p[0], p[1] = 2, tau
-        for t in range(2, t_max + 1):
-            np.multiply(tau, p[t - 1], out=p[t])
-            p[t] -= delta * p[t - 2]
-        out = p[1:].T
-    else:
-        k, giants = _baby_giant(t_max)
-        baby = np.empty((m, k, n, n), dtype=np.complex128)  # (V^T)^a = (V^a)^T
-        baby[:, 0] = np.eye(n)
-        baby[:, 1] = v.transpose(0, 2, 1)
-        for a in range(2, k):
-            np.matmul(baby[:, a - 1], baby[:, 1], out=baby[:, a])
-        giant = np.empty((m, giants, n, n), dtype=np.complex128)  # V^(bk)
-        giant[:, 0] = np.eye(n)
-        if giants > 1:
-            giant[:, 1] = (baby[:, k - 1] @ baby[:, 1]).transpose(0, 2, 1)
-        for b in range(2, giants):
-            np.matmul(giant[:, b - 1], giant[:, 1], out=giant[:, b])
-        # sum_ij (V^(bk))_ij (V^a)_ji = tr V^(bk+a)
-        tr = giant.reshape(m, giants, n * n) @ baby.reshape(m, k, n * n).transpose(0, 2, 1)
-        out = tr.reshape(m, giants * k)[:, 1 : t_max + 1]
-    return out.reshape(*lead, t_max)
+def _fixed_order_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of ``x`` (overwritten), pairwise in an order fixed by
+    len(x) alone: numpy's own reductions pick their order from the whole
+    shape, so a single column could round differently from a stack."""
+    while len(x) > 1:
+        h = (len(x) + 1) // 2
+        x[: len(x) - h] += x[h:]
+        x = x[:h]
+    return x[0]

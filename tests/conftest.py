@@ -10,10 +10,12 @@ per-window wall checks, an oracle for the chain scanner's light cones, the
 pairwise-squaring closure, an oracle for the closure by words, the stacked
 projector intersection, an oracle for the intersection by residuals, the
 conserved algebra through a second decomposition of A_C, an oracle for the
-one read off the wall's block frame, and the center from all k^2 basis
-commutators, an oracle for the center by generators."""
+one read off the wall's block frame, the center from all k^2 basis
+commutators, an oracle for the center by generators, and the spectral form
+factor from Haar matrices (QR of Ginibre draws, traces of matrix powers) and
+the explicit CMV matrix, oracles for the Verblunsky route of ``sff_mc``."""
 
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from wallkit.algebra import MatrixAlgebra, commutant, relative_commutant
 from wallkit.blocks import decompose, isomorphism_signature
 from wallkit.dynamics import _lift, verify_wall
 from wallkit.layout import SystemLayout
-from wallkit.linalg import dagger, nullspace, orthonormal_basis
+from wallkit.linalg import dagger, haar_from_ginibre, nullspace, orthonormal_basis
 from wallkit.walls import resolve_central_algebra, synth_wall
 
 CRITERION_LINES: list[str] = []
@@ -160,6 +162,92 @@ def dense_scan_records(site_dims, even_gates, odd_gates, max_width):
             rep = verify_wall(U, window_layout(site_dims, start, width))
             records.append((start, width, rep.left, rep.right))
     return records
+
+
+def power_traces(v, t_max):
+    """Oracle: tr(V^t) for t = 1..t_max of each matrix of the stack ``v``
+    (..., n, n), as (..., t_max).  n = 1: powers of the entry.  n = 2: the
+    Cayley-Hamilton recurrence p_t = tau p_(t-1) - delta p_(t-2) with
+    tau = tr V, delta = det V.  n >= 3: baby steps (V^T)^a, a < k =
+    ceil(sqrt(t_max + 1)), and giant steps V^(bk) (Paterson-Stockmeyer), so
+    that tr(V^(bk+a)) is one row dot product.  Each matrix gives the same
+    bytes as it would alone."""
+    lead, n = v.shape[:-2], v.shape[-1]
+    v = v.reshape(-1, n, n)
+    m = len(v)
+    if t_max == 0:
+        return np.zeros((*lead, 0), dtype=np.complex128)
+    if n == 1:
+        out = np.cumprod(np.broadcast_to(v[:, 0], (m, t_max)), axis=1)
+    elif n == 2:
+        tau = v[:, 0, 0] + v[:, 1, 1]
+        delta = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+        p = np.empty((t_max + 1, m), dtype=np.complex128)
+        p[0], p[1] = 2, tau
+        for t in range(2, t_max + 1):
+            np.multiply(tau, p[t - 1], out=p[t])
+            p[t] -= delta * p[t - 2]
+        out = p[1:].T
+    else:
+        k = isqrt(t_max) + 1
+        giants = t_max // k + 1
+        baby = np.empty((m, k, n, n), dtype=np.complex128)  # (V^T)^a = (V^a)^T
+        baby[:, 0] = np.eye(n)
+        baby[:, 1] = v.transpose(0, 2, 1)
+        for a in range(2, k):
+            np.matmul(baby[:, a - 1], baby[:, 1], out=baby[:, a])
+        giant = np.empty((m, giants, n, n), dtype=np.complex128)  # V^(bk)
+        giant[:, 0] = np.eye(n)
+        if giants > 1:
+            giant[:, 1] = (baby[:, k - 1] @ baby[:, 1]).transpose(0, 2, 1)
+        for b in range(2, giants):
+            np.matmul(giant[:, b - 1], giant[:, 1], out=giant[:, b])
+        # sum_ij (V^(bk))_ij (V^a)_ji = tr V^(bk+a)
+        tr = giant.reshape(m, giants, n * n) @ baby.reshape(m, k, n * n).transpose(0, 2, 1)
+        out = tr.reshape(m, giants * k)[:, 1 : t_max + 1]
+    return out.reshape(*lead, t_max)
+
+
+def qr_sff_mc(blocks, d_L, d_R, t_max, samples, rng):
+    """Oracle: (K_mc[1:], stderr[1:]) of the block-Haar form factor from
+    explicit Haar matrices.  For each block size n in ascending order, one
+    (samples * count, n, n, 2) draw of normals, sample by sample and block by
+    block, read as Ginibre matrices (re + 1j im) / sqrt(2), QR with the phase
+    fix and ``power_traces``; then each pair's product T_i R_i joins the
+    per-sample total as its larger block is drawn, in pair order."""
+    blocks = sorted(blocks)
+    sizes = [n for dD, dE in blocks for n in (d_L * dD, dE * d_R)]
+    g = rng.generator()
+    traces = {}
+    for n in sorted(set(sizes)):
+        stack = [j for j, size in enumerate(sizes) if size == n]
+        x = g.standard_normal((samples * len(stack), n, n, 2))
+        u = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
+        tr = power_traces(u, t_max).reshape(samples, len(stack), t_max)
+        traces.update((j, tr[:, c]) for c, j in enumerate(stack))
+    total = np.zeros((samples, t_max), dtype=complex)
+    for i in sorted(range(len(blocks)), key=lambda i: max(sizes[2 * i : 2 * i + 2])):
+        total += traces[2 * i] * traces[2 * i + 1]
+    per_sample = total.real**2 + total.imag**2
+    return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=1) / np.sqrt(samples)
+
+
+def cmv_matrix(alpha):
+    """Oracle: the CMV matrix C = L M of Verblunsky coefficients alpha_0 ..
+    alpha_(n-1) (Killip & Nenciu, IMRN 2004): L = Theta_0 + Theta_2 + ...,
+    M = 1 + Theta_1 + Theta_3 + ... as direct sums, with Theta_k =
+    [[conj(alpha_k), rho_k], [rho_k, -alpha_k]], rho_k = sqrt(1 - |alpha_k|^2)
+    on rows k, k + 1, and Theta_(n-1) the 1 x 1 block conj(alpha_(n-1))."""
+    n = len(alpha)
+    L, M = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+    for k, a in enumerate(alpha):
+        factor = L if k % 2 == 0 else M
+        if k == n - 1:
+            factor[k, k] = np.conj(a)
+        else:
+            rho = np.sqrt(max(0.0, 1 - abs(a) ** 2))
+            factor[k : k + 2, k : k + 2] = [[np.conj(a), rho], [rho, -a]]
+    return L @ M
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -11,13 +11,12 @@ import pytest
 from wallkit.layout import SeededRng, SystemLayout
 from wallkit import observables
 from wallkit.cli import run
-from wallkit.linalg import haar_from_ginibre, haar_unitary, kron
+from wallkit.linalg import haar_unitary, kron
 from wallkit.observables import (
-    SFF_CHUNK_ELEMS,
     AreaLawReport,
     PureState,
-    _chunk_elems,
-    _power_traces,
+    _verblunsky,
+    _verblunsky_traces,
     classify_observable,
     evolve_state,
     measure,
@@ -34,10 +33,13 @@ from wallkit.walls import (
     PRESET_NAMES,
     conditional_unitary,
     pauli_string,
+    preset_algebra,
     preset_wall,
     resolve_central_algebra,
     synth_wall,
 )
+
+from conftest import cmv_matrix, power_traces, qr_sff_mc
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 
@@ -441,6 +443,7 @@ def _spectra(n):
 
 
 class TestPowerTraces:
+    # the QR route's traces, kept as the oracle ``power_traces``
     @pytest.mark.parametrize("n", range(1, 18))
     def test_matches_eigenvalue_power_sums(self, n):
         g = SeededRng(40 + n).generator()
@@ -448,7 +451,7 @@ class TestPowerTraces:
         eigs = np.linalg.eigvals(v)
         for t_max in T_MAXES:
             want = (eigs[:, None, :] ** np.arange(1, t_max + 1)[:, None]).sum(axis=2)
-            got = _power_traces(v, t_max)
+            got = power_traces(v, t_max)
             assert got.shape == (4, t_max)
             # |tr V^t| <= n: the tolerance is relative to that scale
             assert np.abs(got - want).max() <= 1e-10 * n, t_max
@@ -458,7 +461,7 @@ class TestPowerTraces:
         for name, phases in _spectra(n).items():
             v = _rotated(phases, 50 + n)
             for t_max in T_MAXES:
-                got = _power_traces(v, t_max)
+                got = power_traces(v, t_max)
                 want = _phase_power_sums(phases, t_max)
                 assert np.abs(got - want).max() <= 1e-10 * n, (name, t_max)
 
@@ -467,15 +470,112 @@ class TestPowerTraces:
         g = SeededRng(60 + n).generator()
         v = np.stack([haar_unitary(n, g) for _ in range(6)])
         for t_max in (1, 7, 32):
-            stacked = _power_traces(v.reshape(2, 3, n, n), t_max)
+            stacked = power_traces(v.reshape(2, 3, n, n), t_max)
             assert stacked.shape == (2, 3, t_max)
             for i in range(6):
-                single = _power_traces(v[i], t_max)
+                single = power_traces(v[i], t_max)
                 assert single.shape == (t_max,)
                 assert single.tobytes() == stacked[i // 3, i % 3].tobytes()
 
     def test_no_times(self):
-        assert _power_traces(np.eye(3), 0).shape == (0,)
+        assert power_traces(np.eye(3), 0).shape == (0,)
+
+
+VERBLUNSKY_SIZES = [*range(1, 18), 32, 64, 256]
+
+
+def _coefficient_sets(n):
+    """Named Verblunsky coefficients of size n: two CUE draws, all
+    |alpha_k| = 0 before the last (rotated roots of unity), every other one
+    0, and |alpha_k| = 1 at k = 0 and n // 2, which splits C into blocks."""
+    drawn = _verblunsky(SeededRng(100 + n).generator().random((3, 2 * n - 1)), n)
+    out = {"drawn": drawn[0], "drawn-2": drawn[1]}
+    if n >= 2:
+        out["zero"] = np.concatenate([np.zeros(n - 1), drawn[2, -1:]])
+        out["every-other-zero"] = drawn[2] * (np.arange(n) % 2 == 1)
+        out["every-other-zero"][-1] = drawn[2, -1]
+        unit = drawn[2].copy()
+        cut = [0, n // 2] if n // 2 < n - 1 else [0]
+        unit[cut] /= np.abs(unit[cut])
+        out["unit"] = unit
+    return out
+
+
+class TestVerblunsky:
+    @pytest.mark.parametrize("n", VERBLUNSKY_SIZES)
+    def test_matches_the_cmv_matrix_eigenvalues(self, n):
+        for name, alpha in _coefficient_sets(n).items():
+            eigs = np.linalg.eigvals(cmv_matrix(alpha))
+            for t_max in (*T_MAXES, 100, 300):
+                want = (eigs[None, :] ** np.arange(1, t_max + 1)[:, None]).sum(axis=1)
+                got = _verblunsky_traces(alpha[None], t_max)
+                assert got.shape == (1, t_max)
+                assert np.abs(got[0] - want).max() <= 1e-10 * n, (name, t_max)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 16, 17])
+    def test_stack_gives_the_bytes_of_single_rows(self, n):
+        # the chunking of sff_mc relies on it
+        u = SeededRng(110 + n).generator().random((7, 2 * n - 1))
+        alpha = _verblunsky(u, n)
+        for t_max in (1, 8, 40):
+            stacked = _verblunsky_traces(alpha, t_max)
+            for i in range(7):
+                assert _verblunsky(u[i : i + 1], n).tobytes() == alpha[i].tobytes()
+                assert _verblunsky_traces(alpha[i : i + 1], t_max).tobytes() == stacked[i].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_coefficients_from_uniforms(self, n):
+        u = SeededRng(120 + n).generator().random((20000, 2 * n - 1))
+        alpha = _verblunsky(u, n)
+        assert np.allclose(np.angle(alpha), np.angle(np.exp(2j * np.pi * u[:, n - 1 :])))
+        assert np.all(np.abs(alpha) <= 1 + 1e-15)
+        assert np.abs(np.abs(alpha[:, -1]) - 1).max() <= 1e-15
+        # |alpha_k|^2 ~ Beta(1, n - k - 1): mean 1 / (n - k)
+        mod2 = np.abs(alpha[:, :-1]) ** 2
+        err = mod2.std(axis=0, ddof=1) / np.sqrt(len(u))
+        assert np.all(np.abs(mod2.mean(axis=0) - 1 / (n - np.arange(n - 1))) <= 4 * err)
+
+
+# (name, samples) of the sff calls perfbench times, all at t_max = 32
+HARNESS_SFF = [("abelian-pair", 1000), ("swap-zz", 600), ("nonabelian-cnot", 1600), ("haar16", 1000)]
+
+
+def _harness_ensemble(name):
+    if name == "haar16":
+        return [(1, 1)], 16, 1
+    layout, _, bs = preset_algebra(name)
+    return bs.blocks, layout.d_left, layout.d_right
+
+
+class TestCUEMoments:
+    """Exact CUE moments on the Verblunsky route at fixed seeds:
+    E|tr U^t|^2 = min(t, n) (Diaconis & Shahshahani, J. Appl. Probab. 1994)
+    and E|tr U^t|^4 = 2 t^2 for n >= 2t (Diaconis & Evans, Trans. AMS 2001)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    def test_second_moment_is_min_t_n(self, n):
+        t_max = 2 * n + 8
+        res = sff_mc([(1, 1)], n, 1, t_max=t_max, samples=4000, rng=SeededRng(70 + n))
+        for t in range(1, t_max + 1):
+            assert res.K_analytic[t] == min(t, n)
+            assert _within(res, t), (t, res.K_mc[t], res.stderr[t])
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_fourth_moment_is_two_t_squared(self, n):
+        samples = 20000
+        u = SeededRng(80 + n).generator().random((samples, 2 * n - 1))
+        x = np.abs(_verblunsky_traces(_verblunsky(u, n), n // 2)) ** 4
+        err = x.std(axis=0, ddof=1) / np.sqrt(samples)
+        t = np.arange(1, n // 2 + 1)
+        assert np.all(np.abs(x.mean(axis=0) - 2 * t**2) <= 4 * err)
+
+    @pytest.mark.parametrize("name, samples", HARNESS_SFF)
+    def test_agrees_with_the_qr_route(self, name, samples):
+        blocks, d_L, d_R = _harness_ensemble(name)
+        res = sff_mc(blocks, d_L, d_R, t_max=32, samples=samples, rng=SeededRng(90))
+        K, err = qr_sff_mc(blocks, d_L, d_R, 32, samples, SeededRng(91))
+        dev = np.abs(res.K_mc[1:] - K) / np.hypot(res.stderr[1:], err)
+        assert dev.max() < 4, dev.max()
 
 
 def _ensembles():
@@ -491,29 +591,28 @@ def _ensembles():
     }
 
 
-def _eigvals_route(blocks, d_L, d_R, t_max, samples, rng):
-    """Oracle: K_mc[1:] and stderr[1:] of ``sff_mc`` from block spectra.  The
-    draws are ``sff_mc``'s (one stack per block size, ascending); ``eigvals``
-    of each block, then tr U^t = sum_i tr(T_i^t) tr(R_i^t) in block order."""
-    sizes = [n for dD, dE in sorted(blocks) for n in (d_L * dD, dE * d_R)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+def _per_sample_route(blocks, d_L, d_R, t_max, samples, rng):
+    """Reference: (K_mc[1:], stderr[1:]) of ``sff_mc``, one sample and one
+    block at a time.  Each sample draws its own row of 2n - 1 uniforms per
+    block, the blocks grouped by size in ascending n and in block order
+    within a size; then tr U^t = sum_i tr(T_i^t) tr(R_i^t) in pair order."""
+    blocks = sorted(blocks)
+    sizes = [n for dD, dE in blocks for n in (d_L * dD, dE * d_R)]
+    columns = sorted(range(len(sizes)), key=lambda j: sizes[j])
     g = rng.generator()
-    eigs = np.empty((samples, offsets[-1]), dtype=complex)
-    for n in sorted(set(sizes)):
-        cols = np.concatenate([np.arange(o, o + n) for size, o in zip(sizes, offsets) if size == n])
-        x = g.standard_normal((samples * sizes.count(n), n, n, 2))
-        u = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
-        eigs[:, cols] = np.linalg.eigvals(u).reshape(samples, -1)
     per_sample = np.empty((samples, t_max))
-    powers = np.ones_like(eigs)
-    for t in range(1, t_max + 1):
-        powers *= eigs
-        tr = sum(
-            powers[:, offsets[j] : offsets[j + 1]].sum(axis=1)
-            * powers[:, offsets[j + 1] : offsets[j + 2]].sum(axis=1)
-            for j in range(0, len(sizes), 2)
-        )
-        per_sample[:, t - 1] = tr.real**2 + tr.imag**2
+    for s in range(samples):
+        row = g.random(sum(2 * n - 1 for n in sizes))
+        traces, col = {}, 0
+        for j in columns:
+            n = sizes[j]
+            alpha = _verblunsky(row[None, col : col + 2 * n - 1], n)
+            traces[j] = _verblunsky_traces(alpha, t_max)[0]
+            col += 2 * n - 1
+        total = np.zeros(t_max, dtype=complex)
+        for i in range(len(blocks)):
+            total += traces[2 * i] * traces[2 * i + 1]
+        per_sample[s] = total.real**2 + total.imag**2
     return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=1) / np.sqrt(samples)
 
 
@@ -546,61 +645,19 @@ class TestSFFMonteCarlo:
         spread = np.std(np.abs(ta + tb) ** 2) / np.sqrt(n)
         assert abs(total - expected) < 4 * spread
 
-    @pytest.mark.parametrize("n", range(1, 18))
-    def test_haar_stack_keeps_the_bytes_of_the_complex_expression(self, n):
-        # the in-place scale and complex view give the entries of
-        # (re + 1j im) / sqrt(2), so the draws of every sff call keep their bytes
-        count = 3
-        x = SeededRng(27, n).generator().standard_normal((count, n, n, 2))
-        expected = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
-        got = observables._haar_stack(SeededRng(27, n).generator(), count, n)
-        assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("ensemble", ["reducible-composite", "haar", "mixed"])
-    def test_batched_matches_per_sample_loop(self, ensemble):
-        # reference: for each block size in ascending order, sample by sample
-        # and block by block, one (n, n, 2) Ginibre draw, QR and the traces of
-        # that one matrix; then per sample the pair products in the order the
-        # pairs complete (by their larger block, then in pair order).
-        # reducible-composite: n = 2 blocks wait as draws; haar: an n = 1
-        # block waits; mixed: n = 3 waits as draws, n = 4 as traces
-        blocks, d_L, d_R = _ensembles()[ensemble]
-        t_max = 12
-        sizes = [n for dD, dE in sorted(blocks) for n in (d_L * dD, dE * d_R)]
-        assert len(set(sizes)) > 1
-        # at least two full chunks and a partial one of the costliest stack
-        chunk = SFF_CHUNK_ELEMS // max(sizes.count(n) * _chunk_elems(n, t_max) for n in sizes)
-        samples = 2 * chunk + chunk // 2 + 1
-        traces = {}
-        g = SeededRng(29).generator()
-        for n in sorted(set(sizes)):
-            for s in range(samples):
-                for j, size in enumerate(sizes):
-                    if size == n:
-                        x = g.standard_normal((n, n, 2))
-                        u = haar_from_ginibre((x[..., 0] + 1j * x[..., 1]) / np.sqrt(2))
-                        traces[s, j] = _power_traces(u, t_max)
-        pairs = sorted(range(len(blocks)), key=lambda i: max(sizes[2 * i : 2 * i + 2]))
-        total = np.zeros((samples, t_max), dtype=complex)
-        for s in range(samples):
-            for i in pairs:
-                total[s] += traces[s, 2 * i] * traces[s, 2 * i + 1]
-        per_sample = total.real**2 + total.imag**2
-
-        res = sff_mc(blocks, d_L, d_R, t_max=t_max, samples=samples, rng=SeededRng(29))
-        assert np.array_equal(res.K_mc[1:], per_sample.mean(axis=0))
-        assert np.array_equal(
-            res.stderr[1:], per_sample.std(axis=0, ddof=1) / np.sqrt(samples)
-        )
-
     @pytest.mark.parametrize("ensemble", ["reducible-composite", "haar", "mixed", "haar16"])
-    def test_matches_eigenvalue_route(self, ensemble):
-        # same draws, traces from block spectra instead of matrix powers
+    @pytest.mark.parametrize("budget", [None, 1500])
+    def test_matches_per_sample_reference(self, ensemble, budget, monkeypatch):
+        # reducible-composite: two sizes, two blocks each; haar and haar16: a
+        # size-1 R block beside T; mixed: four sizes.  A budget of 1500
+        # elements splits the 301 samples into 12-28 chunks, the last one short
+        if budget is not None:
+            monkeypatch.setattr(observables, "SFF_CHUNK_ELEMS", budget)
         blocks, d_L, d_R = _ensembles()[ensemble]
-        res = sff_mc(blocks, d_L, d_R, t_max=32, samples=400, rng=SeededRng(32))
-        K, err = _eigvals_route(blocks, d_L, d_R, 32, 400, SeededRng(32))
-        assert res.K_mc[1:] == pytest.approx(K, rel=1e-12)
-        assert res.stderr[1:] == pytest.approx(err, rel=1e-12)
+        res = sff_mc(blocks, d_L, d_R, t_max=12, samples=301, rng=SeededRng(29))
+        K, err = _per_sample_route(blocks, d_L, d_R, 12, 301, SeededRng(29))
+        assert np.array_equal(res.K_mc[1:], K)
+        assert np.array_equal(res.stderr[1:], err)
 
     @pytest.mark.parametrize(
         "blocks, d_L, d_R, samples",
