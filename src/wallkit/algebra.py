@@ -80,7 +80,8 @@ def close_algebra(generators, layout: SystemLayout) -> MatrixAlgebra:
         gens = gens.reshape(0, d, d)
     if gens.ndim != 3 or gens.shape[1:] != (d, d):
         raise ValueError("generator dimensions do not match layout")
-    seed = orthonormal_basis([np.eye(d), *gens, *gens.conj().transpose(0, 2, 1)])
+    one = np.eye(d, dtype=complex)[None]
+    seed = orthonormal_basis(np.concatenate([one, gens, gens.conj().transpose(0, 2, 1)]))
     basis = new = seed.reshape(len(seed), d * d)
     while len(new):
         words = (new.reshape(-1, 1, d, d) @ seed).reshape(-1, d * d)

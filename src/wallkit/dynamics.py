@@ -302,17 +302,26 @@ def verify_wall(U, layout: SystemLayout) -> WallReport:
     U = _check_unitary(U, layout.dim)
     if not layout.left or not layout.right:
         raise ValueError("wall verification needs non-empty L and R regions")
-    d_L, d_C = layout.d_left, layout.d_center
-    # the left frame is the suffix frame of the cut after L, the right frame
-    # the prefix frame of the cut after C, center first
-    m_left, _ = _cut_frames(U, d_L)
-    _, prefix = _cut_frames(U, d_L * d_C)
-    left, s_l, a_basis = _directional_closure(m_left, layout.center_dims)
-    right, s_r, b_basis = _directional_closure(_center_first(prefix, d_L, d_C), layout.center_dims)
+    left, s_l, a_basis = _side_check(U, layout, right=False)
+    right, s_r, b_basis = _side_check(U, layout, right=True)
     c_layout = SystemLayout(layout.center_dims)
     A_C = MatrixAlgebra(a_basis, c_layout) if left else None
     B_C = MatrixAlgebra(b_basis, c_layout) if right else None
     return WallReport(left, right, s_l, s_r, layout, A_C, B_C)
+
+
+def _side_check(U: np.ndarray, layout: SystemLayout, right: bool):
+    """One side of the wall check of a unitary U, from the one cut frame it
+    needs: the left check closes the suffix frame of the cut after L, the
+    right check the prefix frame of the cut after C, center first.  Returns
+    (passed, rounds, central algebra basis or None)."""
+    d_L, d_C = layout.d_left, layout.d_center
+    if right:
+        _, prefix = _cut_frames(U, d_L * d_C)
+        m = _center_first(prefix, d_L, d_C)
+    else:
+        m, _ = _cut_frames(U, d_L)
+    return _directional_closure(m, layout.center_dims)
 
 
 def _lift_factors(left, center, right, layout: SystemLayout) -> MatrixAlgebra:
@@ -499,19 +508,28 @@ def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2) -> ScanRepo
     """Verify every candidate central window (width <= max_width) of a
     two-layer brickwork Floquet unitary and report the wall windows found.
     Even gates act on sites (0,1),(2,3),... first, odd gates on
-    (1,2),(3,4),... second.
+    (1,2),(3,4),... second; each must be unitary.
 
-    Window [s, s + w) is checked by one ``verify_wall`` on the tripartite
-    layout of its w + 2 sites s - 1 (L), s ... s + w - 1 (C) and s + w (R),
-    with the product of the gates wholly inside them; it decides as the
-    check on the whole chain does.  Each layer's gates commute, so a gate
-    wholly in L or wholly in R is a left factor of U (odd layer) or a right
-    one (even layer).  On its own edge it mixes the edge blocks and keeps
-    their span; on the other edge it conjugates every sandwich by an edge
-    unitary (left factor) or cancels around a x 1 (right factor), so neither
-    moves a core or an escape residual, and what is left acts as the
-    identity outside the cone.  Every gate lies in the cone of a width-1
-    window, whose ``verify_wall`` checks that its product is unitary."""
+    A side of window [s, s + w) is checked by one ``_side_check`` on the
+    tripartite layout of its w + 2 sites s - 1 (L), s ... s + w - 1 (C) and
+    s + w (R), with the product of the gates wholly inside them; it decides
+    as the check on the whole chain does.  Each layer's gates commute, so a
+    gate wholly in L or wholly in R is a left factor of U (odd layer) or a
+    right one (even layer).  On its own edge it mixes the edge blocks and
+    keeps their span; on the other edge it conjugates every sandwich by an
+    edge unitary (left factor) or cancels around a x 1 (right factor), so
+    neither moves a core or an escape residual, and what is left acts as the
+    identity outside the cone.
+
+    Each side is monotone in the regions: if the orbit of the left edge
+    M_[0,s) stays inside M_[0,b), so does the orbit of M_[0,s-1), and it
+    stays inside M_[0,b+1); the right side mirrors this.  So a side holds
+    on [s, b) exactly for b >= b*(s), and b*(s) never decreases as s grows.
+    One sweep per side over s tests the ends from b*(s - 1) up, narrowest
+    first, and stops at the first that holds; the ends below are read as
+    failing, those above as holding.  A chain without walls takes n - 2
+    checks per side.  Each window's cone unitary is built at most once, and
+    only when one of its sides is checked."""
     site_dims = tuple(int(d) for d in site_dims)
     n = len(site_dims)
     layers = [(2 * k, g) for k, g in enumerate(even_gates)]
@@ -524,16 +542,33 @@ def scan_chain(site_dims, even_gates, odd_gates, max_width: int = 2) -> ScanRepo
         g = np.asarray(g, dtype=complex)
         if g.shape != (d_gate, d_gate):
             raise ValueError(f"gate shape {g.shape} does not match site dims product {d_gate}")
-        gates.append((s, g))
-    records = []
-    for w in range(1, min(max_width, n - 2) + 1):  # wider windows leave L or R empty
-        for s in range(1, n - w):
-            d = prod(site_dims[s - 1 : s + w + 1])
-            U = np.eye(d, dtype=complex)
-            for k, g in gates:  # each gate on the two row axes of its sites
-                if s - 1 <= k < s + w:
-                    U = (g @ U.reshape(prod(site_dims[s - 1 : k]), len(g), -1)).reshape(d, d)
-            layout = SystemLayout.tripartite(site_dims[s - 1], site_dims[s : s + w], site_dims[s + w])
-            rep = verify_wall(U, layout)
-            records.append(ScanRecord(s, w, rep.left, rep.right))
-    return ScanReport(records)
+        gates.append((s, _check_unitary(g, d_gate)))
+
+    def cone(s, b):
+        """The product of the gates wholly inside sites s - 1 ... b, on the
+        tripartite layout of window [s, b)."""
+        d = prod(site_dims[s - 1 : b + 1])
+        U = np.eye(d, dtype=complex)
+        for k, g in gates:  # each gate on the two row axes of its sites
+            if s - 1 <= k < b:
+                U = (g @ U.reshape(prod(site_dims[s - 1 : k]), len(g), -1)).reshape(d, d)
+        return U, SystemLayout.tripartite(site_dims[s - 1], site_dims[s:b], site_dims[b])
+
+    width = min(max_width, n - 2)  # wider windows leave L or R empty
+    first = {}  # (right, s): b*(s), or one past row s's last end if no end holds
+    for s in range(1, n - 1):
+        last, cones = min(s + width, n - 1), {}
+        for right in (False, True):
+            b = max(first.get((right, s - 1), 0), s + 1)
+            while b <= last:
+                if b not in cones:
+                    cones[b] = cone(s, b)
+                if _side_check(*cones[b], right)[0]:
+                    break
+                b += 1
+            first[right, s] = b
+    return ScanReport([
+        ScanRecord(s, w, s + w >= first[False, s], s + w >= first[True, s])
+        for w in range(1, width + 1)
+        for s in range(1, n - w)
+    ])

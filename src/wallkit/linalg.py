@@ -33,8 +33,8 @@ FRAME_CLUSTER_TOL = 1e-7  # decompose: relative gap between w of two D indices o
 ORBIT_RANK_TOL = 1e-9  # decompose: orbit rank of a block, s > ORBIT_RANK_TOL * max(s_max, 1)
 POLAR_TOL = 1e-6  # decompose: largest entry moved by a block frame's polar cleanup
 VERIFY_TOL = 1e-8  # decompose, gauged_sequence: largest entry residual off the block form
-# scan_chain decides through verify_wall, on each window's (w + 2)-site cone
-UNITARY_TOL = 1e-8  # verify_wall: HS norm of U U^dag - 1
+# scan_chain decides through verify_wall's one-sided check, on each window's (w + 2)-site cone
+UNITARY_TOL = 1e-8  # verify_wall: HS norm of U U^dag - 1; scan_chain: the same of each gate
 EDGE_RANK_TOL = 1e-9  # verify_wall: edge-frame rank, s > EDGE_RANK_TOL * s_max
 ESCAPE_TOL = 1e-9  # verify_wall: relative escape residual of a closure sandwich
 FACTOR_COMMUTE_TOL = 1e-9  # invariant_algebras: largest HS commutator of A_C and B_C

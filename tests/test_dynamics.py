@@ -803,19 +803,52 @@ def _scan_cases(n):
 
 
 @pytest.fixture
-def wall_layouts(monkeypatch):
-    """The layout of every ``verify_wall`` call that ``scan_chain`` makes."""
+def side_checks(monkeypatch):
+    """(layout, right) of every one-sided wall check, in call order."""
     calls = []
-    check = dynamics.verify_wall
-    monkeypatch.setattr(dynamics, "verify_wall", lambda U, lay: calls.append(lay) or check(U, lay))
+    check = dynamics._side_check
+    monkeypatch.setattr(
+        dynamics, "_side_check", lambda U, lay, right: calls.append((lay, right)) or check(U, lay, right)
+    )
     return calls
 
 
-def _assert_cones(layouts, records, dims):
-    """Window [s, s + w) was checked on sites s - 1 (L), s ... s + w - 1 (C)
-    and s + w (R) alone."""
-    assert [lay.site_dims for lay in layouts] == [dims[r.start - 1 : r.start + r.width + 1] for r in records]
-    assert all(len(lay.left) == len(lay.right) == 1 for lay in layouts)
+def _staircase(records, n):
+    """The first end b*(s) at which each side holds on row s (one past the
+    row's last end if none does), as {(right, s): b*}.  Asserts that each
+    row's verdicts fail below b*(s) and hold from it on, and that b*(s)
+    never decreases as s grows."""
+    width = max(r.width for r in records)
+    verdicts = {(right, r.start, r.start + r.width): (r.right if right else r.left)
+                for r in records for right in (False, True)}
+    first = {}
+    for right in (False, True):
+        for s in range(1, n - 1):
+            row = [verdicts[right, s, b] for b in range(s + 1, min(s + width, n - 1) + 1)]
+            first[right, s] = s + 1 + (row.index(True) if True in row else len(row))
+            assert all(row[first[right, s] - s - 1 :]), (right, s, row)
+            assert s == 1 or first[right, s] >= first[right, s - 1], (right, s)
+    return first
+
+
+def _assert_cones(checks, records, dims):
+    """Each side was checked on the w + 2 sites s - 1 (L), s ... s + w - 1
+    (C) and s + w (R) of its window [s, s + w) alone, only on the windows
+    the staircase leaves open (row by row, from b*(s - 1) up to b*(s)), and
+    never twice."""
+    n = len(dims)
+    first = _staircase(records, n)
+    width = max(r.width for r in records)
+    for right in (False, True):
+        open_cells = [
+            (s, b)
+            for s in range(1, n - 1)
+            for b in range(max(first.get((right, s - 1), 0), s + 1),
+                           min(first[right, s], s + width, n - 1) + 1)
+        ]
+        seen = [(lay.site_dims, len(lay.center)) for lay, r in checks if r == right]
+        assert seen == [(dims[s - 1 : b + 1], b - s) for s, b in open_cells], right
+    assert all(len(lay.left) == len(lay.right) == 1 for lay, _ in checks)
 
 
 class TestScan:
@@ -854,33 +887,34 @@ class TestScan:
 
     @pytest.mark.parametrize("max_width", (1, 2, 3))
     @pytest.mark.parametrize("n", (5, 6, 7))
-    def test_cut_scan_matches_per_window_checks(self, n, max_width, wall_layouts):
+    def test_cut_scan_matches_per_window_checks(self, n, max_width, side_checks):
         dims = (2,) * n
         for case, even, odd in _scan_cases(n):
             expected = dense_scan_records(dims, even, odd, max_width)
-            wall_layouts.clear()
+            side_checks.clear()
             records = scan_chain(dims, even, odd, max_width=max_width).records
             assert [(r.start, r.width, r.left, r.right) for r in records] == expected, case
-            _assert_cones(wall_layouts, records, dims)
+            _assert_cones(side_checks, records, dims)
             if case == "identity":
                 assert all(left and right for _, _, left, right in expected)
 
     @pytest.mark.parametrize("case", ("embed-None", "embed-3"))
-    def test_width_four_cones_match_dense_checks(self, case, wall_layouts):
+    def test_width_four_cones_match_dense_checks(self, case, side_checks):
         # a walled width-4 window takes about 1.2 s on the dense 7-site chain
         dims = (2,) * 7
         even, odd = next((e, o) for c, e, o in _scan_cases(7) if c == case)
         expected = dense_scan_records(dims, even, odd, 4)
+        side_checks.clear()
         records = scan_chain(dims, even, odd, max_width=4).records
         assert [(r.start, r.width, r.left, r.right) for r in records] == expected
-        _assert_cones(wall_layouts, records, dims)
+        _assert_cones(side_checks, records, dims)
         walls = [(s, w) for s, w, left, right in expected if w == 4 and left and right]
         assert walls == ([(1, 4), (2, 4)] if case == "embed-3" else [])
 
     @pytest.mark.parametrize(
         "dims, max_width", [((2, 3, 2, 3, 2), 2), ((3, 2, 2, 3, 2), 3), ((2, 3, 2, 3, 2, 3), 2)]
     )
-    def test_mixed_site_dims_match_dense_checks(self, dims, max_width, wall_layouts):
+    def test_mixed_site_dims_match_dense_checks(self, dims, max_width, side_checks):
         n = len(dims)
         g = SeededRng(38, n).generator()
         pairs = [(2 * k, 2 * k + 1) for k in range(n // 2)] + [
@@ -897,20 +931,68 @@ class TestScan:
         for name, gates in (("haar", haar), ("walled", walled), ("identity", identity)):
             even, odd = gates[: n // 2], gates[n // 2 :]
             expected = dense_scan_records(dims, even, odd, max_width)
-            wall_layouts.clear()
+            side_checks.clear()
             records = scan_chain(dims, even, odd, max_width=max_width).records
             assert [(r.start, r.width, r.left, r.right) for r in records] == expected, name
-            _assert_cones(wall_layouts, records, dims)
+            _assert_cones(side_checks, records, dims)
             if name == "walled":
                 assert (1, 1, True, True) in expected
 
     @pytest.mark.parametrize("n", (6, 7, 9))
     def test_nonunitary_last_odd_gate_rejected(self, n):
-        # the last odd gate lies only in the light cones of the last windows
+        # the last odd gate lies only in the light cones of the last
+        # windows, which the staircase may never check
         even, odd = _scan_gates(n, SeededRng(39, n))
         odd[-1] = np.ones((4, 4))
-        with pytest.raises(ValueError, match="not unitary"):
-            scan_chain((2,) * n, even, odd, max_width=1)
+        for max_width in (1, 2, 3):
+            with pytest.raises(ValueError, match="not unitary"):
+                scan_chain((2,) * n, even, odd, max_width=max_width)
+
+    @pytest.mark.parametrize("n", (6, 7, 9))
+    def test_nonunitary_first_even_gate_rejected(self, n):
+        even, odd = _scan_gates(n, SeededRng(39, n))
+        even[0] = np.diag([1, 1, 1, 1.5])
+        for max_width in (1, 2, 3):
+            with pytest.raises(ValueError, match="not unitary"):
+                scan_chain((2,) * n, even, odd, max_width=max_width)
+
+    def test_wall_free_chain_takes_n_minus_2_checks_per_side(self, side_checks):
+        n = 9
+        even, odd = _scan_gates(n, SeededRng(40))
+        rep = scan_chain((2,) * n, even, odd, max_width=3)
+        assert rep.detections == []
+        for right in (False, True):
+            assert sum(r == right for _, r in side_checks) <= n - 2
+        _assert_cones(side_checks, rep.records, (2,) * n)
+
+    @pytest.mark.parametrize("case", ("identity", "walls-3-7"))
+    def test_staircase_cases_match_dense_checks(self, case, side_checks):
+        # identity: every side holds on every window; walls-3-7: conditional
+        # walls at sites 3 and 7 give each side the two-step staircase
+        # b*(s) = 4 for s <= 3 and 8 for 4 <= s <= 7
+        n, dims = 9, (2,) * 9
+        if case == "identity":
+            even, odd = [np.eye(4)] * (n // 2), [np.eye(4)] * ((n - 1) // 2)
+        else:
+            g = SeededRng(42).generator()
+            even, odd = _scan_gates(n, g)
+            for s in (3, 7):
+                xi, zeta = ([haar_unitary(2, g) for _ in range(2)] for _ in range(2))
+                even[(s - 1) // 2] = conditional_unitary(np.eye(2), xi)
+                odd[(s - 1) // 2] = conditional_unitary(np.eye(2), zeta, control_first=True)
+        expected = dense_scan_records(dims, even, odd, 3)
+        side_checks.clear()
+        rep = scan_chain(dims, even, odd, max_width=3)
+        assert [(r.start, r.width, r.left, r.right) for r in rep.records] == expected
+        _assert_cones(side_checks, rep.records, dims)
+        first = _staircase(rep.records, n)
+        if case == "identity":
+            assert all(left and right for _, _, left, right in expected)
+            assert len(side_checks) == 2 * (n - 2)
+        else:
+            steps = {s: 4 if s <= 3 else 8 for s in range(1, n - 1)}
+            assert first == {(right, s): b for right in (False, True) for s, b in steps.items()}
+            assert rep.minimal_windows == [(3, 1), (7, 1)]
 
     def test_brickwork_local_gates_match_embedded_products(self):
         dims = (2, 3, 2, 3, 2)
